@@ -1,19 +1,3 @@
 """Uplink simulator for distributed MIMO with pluggable pilot-assignment strategies."""
 
-from .assignment import (ClusterMatrix, RepulsionFunction, assign, exhaustive_sum_rate,
-                         greedy_assignment, optimal_repulsive, oracle_assignment,
-                         random_assignment, repulsion_score, repulsive_heuristic)
-from .chanest import EstimationQuality, PilotAssignment, estimation_quality, pilot_correlation
-from .config import (POLICY_NAMES, STRATEGY_NAMES, SWEEP_VARIABLES, ExperimentConfig,
-                     SimConfig)
-from .errors import BudgetExceededError, ConfigError, ConstraintViolationError
-from .harness import (ThroughputRecord, empirical_cdf, ks_distance, load_config,
-                      percentile, read_records, run_experiment, run_sweep,
-                      write_records, write_sweep)
-from .power_control import PowerCoefficients, full_power, max_min_power
-from .rate_model import (EmpiricalSinr, RateReport, SinrTerms, rate_report, sinr_terms,
-                         sum_rate, throughput, uplink_sinr, validate_sinr_empirically)
-from .topology import (NetworkRealization, generate_realization, large_scale_coefficient,
-                       noise_power, pilot_snr, uplink_snr, wrap_distance)
-
 __version__ = "0.1.0"

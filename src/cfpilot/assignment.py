@@ -16,15 +16,12 @@ Strategies, by registered name:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from numpy.random import default_rng
 
 from .chanest import PilotAssignment, estimation_quality
 from .config import SimConfig
-from .errors import BudgetExceededError, ConfigError, ConstraintViolationError
+from .errors import BudgetExceededError, ConfigError
 from .rate_model import uplink_sinr
 from .topology import NetworkRealization, pilot_snr, uplink_snr
 
@@ -46,91 +43,22 @@ def group_size_bounds(num_ues, num_clusters):
     return low, low + 1
 
 
-@dataclass(frozen=True)
-class ClusterMatrix:
-    """Binary UE-by-cluster association matrix with balance constraints.
+def pairwise_distance(features):
+    """K-by-K Euclidean distances between UE feature vectors (one row per UE).
 
-    Every row must select exactly one cluster and every column-sum must lie
-    in the balanced range; violations raise ``ConstraintViolationError``.
+    A 1-D input is one scalar feature per UE.
     """
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x)
-        if x.ndim != 2:
-            raise ConstraintViolationError("association matrix must be 2-D")
-        if not np.isin(x, (0, 1)).all():
-            raise ConstraintViolationError("association matrix entries must be 0 or 1")
-        x = x.astype(int)
-        if np.any(x.sum(axis=1) != 1):
-            raise ConstraintViolationError("each UE must belong to exactly one cluster")
-        low, high = group_size_bounds(*x.shape)
-        col = x.sum(axis=0)
-        if np.any(col < low) or np.any(col > high):
-            raise ConstraintViolationError(
-                f"cluster sizes {col.tolist()} outside balanced range [{low}, {high}]")
-        object.__setattr__(self, "x", x)
-
-    @classmethod
-    def from_labels(cls, labels, num_clusters):
-        labels = np.asarray(labels, dtype=int)
-        x = np.zeros((labels.size, num_clusters), dtype=int)
-        x[np.arange(labels.size), labels] = 1
-        return cls(x)
-
-    def labels(self):
-        return self.x.argmax(axis=1)
+    f = np.asarray(features, dtype=float)
+    f = f.reshape(f.shape[0], -1)
+    diff = f[:, None, :] - f[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=-1))
 
 
-def euclidean(u, w):
-    """Default pairwise repulsion: Euclidean distance between feature vectors."""
-    return float(np.linalg.norm(np.asarray(u, dtype=float) - np.asarray(w, dtype=float)))
-
-
-@dataclass(frozen=True)
-class RepulsionFunction:
-    """Symmetric non-negative pairwise dissimilarity over UE feature vectors."""
-
-    features: np.ndarray
-    metric: Callable = euclidean
-
-    def __post_init__(self):
-        feats = np.atleast_2d(np.asarray(self.features, dtype=float))
-        if feats.shape[0] == 1 and np.asarray(self.features).ndim == 1:
-            feats = feats.T  # a 1-D feature list means one scalar feature per UE
-        object.__setattr__(self, "features", feats)
-
-    @property
-    def num_ues(self):
-        return self.features.shape[0]
-
-    def __call__(self, k, k2):
-        return self.metric(self.features[k], self.features[k2])
-
-    def matrix(self):
-        """Dense pairwise score matrix (symmetric, zero diagonal)."""
-        n = self.num_ues
-        if self.metric is euclidean:
-            diff = self.features[:, None, :] - self.features[None, :, :]
-            return np.sqrt((diff ** 2).sum(axis=-1))
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = self.metric(self.features[i], self.features[j])
-        return out
-
-
-def repulsion_score(x, repulsion: RepulsionFunction):
-    """Total within-cluster dissimilarity of a balanced association matrix."""
-    if not isinstance(x, ClusterMatrix):
-        x = ClusterMatrix(x)
-    scores = repulsion.matrix()
-    total = 0.0
-    for col in range(x.x.shape[1]):
-        members = np.flatnonzero(x.x[:, col])
-        total += scores[np.ix_(members, members)].sum() / 2.0
-    return float(total)
+def cluster_objective(scores, labels):
+    """Total within-cluster dissimilarity: ``scores`` summed once per same-label pair."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    return float((scores * same).sum()) / 2.0
 
 
 def random_assignment(num_ues, num_pilots, seed) -> PilotAssignment:
@@ -184,44 +112,60 @@ def _swap_gain(scores, labels, u, w):
     return gain - 2.0 * scores[u, w]
 
 
-def _sweep_pair(scores, labels, first, second):
-    """Exhaust improving swaps between two clusters; True if any was accepted.
-
-    Evaluates all cross-pair gains against the current memberships, applies
-    the first improving swap in UE index order, and re-scans the pair until
-    none is left. The batched gains equal the one-at-a-time deltas exactly.
-    """
-    accepted = False
-    while True:
-        idx1 = np.flatnonzero(labels == first)
-        idx2 = np.flatnonzero(labels == second)
-        s1 = scores[:, idx1].sum(axis=1)
-        s2 = scores[:, idx2].sum(axis=1)
-        gains = (s1[idx2][None, :] - s1[idx1][:, None]
-                 + s2[idx1][:, None] - s2[idx2][None, :]
-                 - 2.0 * scores[np.ix_(idx1, idx2)])
-        hits = np.argwhere(gains > SWAP_TOLERANCE)
-        if hits.size == 0:
-            return accepted
-        u, w = idx1[hits[0, 0]], idx2[hits[0, 1]]
-        labels[u], labels[w] = second, first
-        accepted = True
+def _cluster_sums(scores, labels, cluster):
+    """Each UE's summed dissimilarity to the members of one cluster."""
+    return scores[:, np.flatnonzero(labels == cluster)].sum(axis=1)
 
 
 def _local_search(scores, labels, num_pilots):
-    """Sweep cluster pairs lexicographically until a full sweep accepts no swap."""
-    improved = True
-    while improved:
-        improved = False
-        for first in range(num_pilots - 1):
-            for second in range(first + 1, num_pilots):
-                if _sweep_pair(scores, labels, first, second):
-                    improved = True
-    return labels
+    """Sweep cluster pairs lexicographically until a full sweep accepts no swap.
+
+    Within a pair, the first improving swap in UE index order is applied and
+    the pair is re-scanned until none is left. A scan that accepts nothing
+    leaves the state unchanged, so instead of scanning pair by pair, the
+    gains of every cross-cluster swap are evaluated at once and the search
+    jumps to the first pair, at or after the current one, that holds an
+    improving swap. Per-cluster sums are recomputed only for the two
+    clusters a swap touches, with the same arithmetic as a fresh scan, so
+    each gain equals the one-at-a-time delta bit for bit.
+    """
+    k = labels.size
+    rows = np.arange(k)
+    twice = 2.0 * scores
+    sums = np.empty((k, num_pilots))
+    for cluster in range(num_pilots):
+        sums[:, cluster] = _cluster_sums(scores, labels, cluster)
+    start = 0                          # pair code first * num_pilots + second
+    improved = False
+    while True:
+        toward = sums[:, labels]       # toward[i, j]: UE i's sum over j's cluster
+        own = toward[rows, rows]
+        gains = toward.T - own[:, None] + toward - own[None, :] - twice
+        u, w = np.nonzero((gains > SWAP_TOLERANCE) & (labels[:, None] < labels[None, :]))
+        codes = labels[u] * num_pilots + labels[w]
+        ahead = np.flatnonzero(codes >= start)
+        if ahead.size == 0:
+            if not improved:
+                return labels
+            start, improved = 0, False
+            continue
+        hit = ahead[np.argmin(codes[ahead])]   # earliest pair, then row-major order
+        first, second = labels[u[hit]], labels[w[hit]]
+        labels[u[hit]], labels[w[hit]] = second, first
+        sums[:, first] = _cluster_sums(scores, labels, first)
+        sums[:, second] = _cluster_sums(scores, labels, second)
+        start, improved = codes[hit], True
 
 
-def repulsive_heuristic(features, num_pilots, seed=0, repulsion=None,
-                        init=None, restarts=DEFAULT_RESTARTS) -> PilotAssignment:
+def _check_fillable(num_ues, num_pilots):
+    """Balanced clustering needs at least one UE per pilot."""
+    if num_ues < num_pilots:
+        raise ConfigError(f"{num_ues} UEs cannot fill {num_pilots} pilots: "
+                          "the repulsive strategies need num_ues >= num_pilots")
+
+
+def repulsive_heuristic(features, num_pilots, seed=0,
+                        restarts=DEFAULT_RESTARTS) -> PilotAssignment:
     """Swap-based local search for a balanced, maximally diverse partition.
 
     Each start begins from a balanced random partition and sweeps all cluster
@@ -230,18 +174,11 @@ def repulsive_heuristic(features, num_pilots, seed=0, repulsion=None,
     within-cluster dissimilarity; a start terminates when a full sweep
     accepts no swap. The best of ``restarts`` such runs is returned (ties
     keep the earliest), so the result is balanced, 1-swap locally optimal,
-    and deterministic given the seed. Passing ``init`` runs a single search
-    from that partition instead.
+    and deterministic given the seed.
     """
-    repulsion = repulsion if repulsion is not None else RepulsionFunction(features)
-    k = repulsion.num_ues
-    if k < num_pilots:
-        raise ValueError("need at least one UE per cluster")
-    scores = repulsion.matrix()
-    if init is not None:
-        ClusterMatrix.from_labels(init.p, num_pilots)  # balance check
-        labels = _local_search(scores, np.asarray(init.p, dtype=int).copy(), num_pilots)
-        return PilotAssignment(labels)
+    scores = pairwise_distance(features)
+    k = scores.shape[0]
+    _check_fillable(k, num_pilots)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = default_rng(seed)
@@ -251,8 +188,7 @@ def repulsive_heuristic(features, num_pilots, seed=0, repulsion=None,
         labels = np.empty(k, dtype=int)
         labels[rng.permutation(k)] = np.arange(k) % num_pilots
         _local_search(scores, labels, num_pilots)
-        same = labels[:, None] == labels[None, :]
-        score = float((scores * same).sum())
+        score = cluster_objective(scores, labels)
         if score > best_score:
             best_score = score
             best_labels = labels
@@ -298,28 +234,25 @@ def _balanced_partitions(num_ues, capacities):
     yield from place(0)
 
 
-def optimal_repulsive(features, num_pilots, repulsion=None) -> PilotAssignment:
+def optimal_repulsive(features, num_pilots) -> PilotAssignment:
     """Exact maximally diverse balanced partition by full enumeration.
 
     Guarded to ``OPTIMAL_REPULSIVE_MAX_UES`` UEs; ties are broken toward the
     lexicographically smallest canonical label vector.
     """
-    repulsion = repulsion if repulsion is not None else RepulsionFunction(features)
-    k = repulsion.num_ues
+    scores = pairwise_distance(features)
+    k = scores.shape[0]
     if k > OPTIMAL_REPULSIVE_MAX_UES:
         raise BudgetExceededError(
             f"optimal-repulsive enumeration supports at most {OPTIMAL_REPULSIVE_MAX_UES} UEs, got {k}",
             guard="optimal-repulsive enumeration")
-    if k < num_pilots:
-        raise ValueError("need at least one UE per cluster")
-    scores = repulsion.matrix()
+    _check_fillable(k, num_pilots)
     low, _ = group_size_bounds(k, num_pilots)
     capacities = [low + 1] * (k % num_pilots) + [low] * (num_pilots - k % num_pilots)
     best_score = -1.0
     best = None
     for labels in _balanced_partitions(k, capacities):
-        same = labels[:, None] == labels[None, :]
-        score = float((scores * same).sum()) / 2.0
+        score = cluster_objective(scores, labels)
         if score > best_score or (score == best_score and tuple(labels) < best):
             best_score = score
             best = tuple(labels)

@@ -45,22 +45,6 @@ class EstimationQuality:
     c: np.ndarray
 
 
-def pilot_correlation(assignment: PilotAssignment, k, k2):
-    """0/1 correlation between the pilots of UEs ``k`` and ``k2``.
-
-    Self-correlation is always 1. In oracle mode every cross-correlation is 0.
-    """
-    n = assignment.num_ues
-    for idx in (k, k2):
-        if not 0 <= idx < n:
-            raise IndexError(f"UE index {idx} out of range for {n} UEs")
-    if k == k2:
-        return 1
-    if assignment.oracle:
-        return 0
-    return int(assignment.p[k] == assignment.p[k2])
-
-
 def correlation_matrix(assignment: PilotAssignment):
     """K-by-K matrix of pairwise pilot correlations (unit diagonal)."""
     if assignment.oracle:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .config import SWEEP_VARIABLES
 from .errors import BudgetExceededError, ConfigError
@@ -61,6 +62,9 @@ def _output_path(cfg, args):
     path = args.out if args.out else cfg.output_path
     if not path:
         raise ConfigError("no output path: pass --out or set output_path in the config")
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ConfigError(f"output directory {str(parent)!r} does not exist")
     return path
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -46,8 +47,12 @@ class SimConfig:
             raise ConfigError("num_ues must be >= 1")
         if not 1 <= self.num_pilots <= self.coherence_len:
             raise ConfigError("num_pilots must satisfy 1 <= num_pilots <= coherence_len")
-        for name in ("area_side", "bandwidth", "pilot_tx_power", "uplink_tx_power",
-                     "noise_figure", "noise_temp", "boltzmann"):
+        positive = ("area_side", "bandwidth", "pilot_tx_power", "uplink_tx_power",
+                    "noise_figure", "noise_temp", "boltzmann")
+        for name in positive + ("shadowing_sigma",):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be strictly positive")
         if self.shadowing_sigma < 0:

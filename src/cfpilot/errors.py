@@ -5,19 +5,12 @@ class ConfigError(ValueError):
     """Invalid simulation or experiment configuration."""
 
 
-class ConstraintViolationError(ValueError):
-    """A cluster-association matrix violates its assignment or balance constraints."""
-
-
 class BudgetExceededError(RuntimeError):
     """An enumeration or iteration guard was hit before the operation could finish.
 
     ``guard`` names the limit that fired so callers (and the CLI) can report it.
-    For the power-control solver, ``best_feasible_target`` carries the highest
-    SINR target certified feasible before the budget ran out.
     """
 
-    def __init__(self, message, *, guard=None, best_feasible_target=None):
+    def __init__(self, message, *, guard=None):
         super().__init__(message)
         self.guard = guard
-        self.best_feasible_target = best_feasible_target

@@ -86,6 +86,8 @@ def percentile(values, q):
         raise ValueError("percentile of an empty sequence")
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
+    if np.isnan(values).any():
+        raise ValueError("percentile of a sequence containing NaN")
     rank = math.ceil(q * values.size)
     return float(np.sort(values)[rank - 1])
 
@@ -126,17 +128,24 @@ def write_records(records, path):
 
 def read_records(path) -> list[ThroughputRecord]:
     """Parse a records CSV produced by :func:`write_records`."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != CSV_HEADER:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read records file {path}: {exc}") from exc
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigError(f"unexpected CSV header in {path}")
     records = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ConfigError(f"malformed CSV row: {line!r}")
-        records.append(ThroughputRecord(int(fields[0]), fields[1], int(fields[2]),
-                                        float(fields[3]), float(fields[4])))
+    for lineno, line in lines[1:]:
+        try:
+            realization, strategy, ue, sinr, tp = line.split(",")
+            record = ThroughputRecord(int(realization), strategy, int(ue),
+                                      float(sinr), float(tp))
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: malformed CSV row: {line!r}") from exc
+        if not (math.isfinite(record.sinr) and math.isfinite(record.throughput_bps)):
+            raise ConfigError(f"{path} line {lineno}: non-finite sinr or throughput: {line!r}")
+        records.append(record)
     return records
 
 

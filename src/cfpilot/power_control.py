@@ -87,7 +87,7 @@ def max_min_power(beta, gamma, assignment: PilotAssignment, uplink_snr,
     if not feasible:
         raise BudgetExceededError(
             "no power vector certifies the full-power SINR floor",
-            guard="max-min power solve", best_feasible_target=None)
+            guard="max-min power solve")
     for _ in range(BISECTION_BUDGET):
         if target_hi <= target_lo * (1.0 + tol):
             break

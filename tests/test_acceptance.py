@@ -14,9 +14,9 @@ import functools
 import numpy as np
 import pytest
 
-from cfpilot.assignment import (ClusterMatrix, RepulsionFunction, _swap_gain, assign,
-                                optimal_repulsive, oracle_assignment, random_assignment,
-                                repulsion_score, repulsive_heuristic)
+from cfpilot.assignment import (_swap_gain, assign, cluster_objective, group_size_bounds,
+                                optimal_repulsive, oracle_assignment, pairwise_distance,
+                                random_assignment, repulsive_heuristic)
 from cfpilot.chanest import estimation_quality
 from cfpilot.config import ExperimentConfig, SimConfig
 from cfpilot.harness import (empirical_cdf, ks_distance, percentile, run_experiment,
@@ -69,9 +69,9 @@ def test_criterion_1_small_scale_optimality():
                        strategy_seed(SEED, index, "optimal-repulsive"))
         tp_rep.extend(evaluate(realization, cfg, p_rep).tolist())
         tp_exh.extend(evaluate(realization, cfg, p_exh).tolist())
-        rep = RepulsionFunction(realization.ue_positions)
-        score_h = repulsion_score(ClusterMatrix.from_labels(p_rep.p, 3), rep)
-        score_o = repulsion_score(ClusterMatrix.from_labels(p_opt.p, 3), rep)
+        scores = pairwise_distance(realization.ue_positions)
+        score_h = cluster_objective(scores, p_rep.p)
+        score_o = cluster_objective(scores, p_opt.p)
         ratios.append(score_h / score_o)
         equal += int(abs(score_h - score_o) < 1e-9)
     ks = ks_distance(tp_rep, tp_exh)
@@ -192,8 +192,11 @@ def _property_balance_and_local_optimality():
     for trial in range(1000):
         feats = np.random.default_rng(SEED + trial).uniform(0, 1000, size=(8, 2))
         out = repulsive_heuristic(feats, 2, seed=trial)
-        ClusterMatrix.from_labels(out.p, 2)
-        scores = RepulsionFunction(feats).matrix()
+        low, high = group_size_bounds(8, 2)
+        counts = np.bincount(out.p, minlength=2)
+        if counts.min() < low or counts.max() > high:
+            return False
+        scores = pairwise_distance(feats)
         labels = out.p
         for u in range(8):
             for w in range(u + 1, 8):

@@ -5,54 +5,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpilot.assignment import (ClusterMatrix, RepulsionFunction, _swap_gain, assign,
+from cfpilot.assignment import (_local_search, _swap_gain, assign, cluster_objective,
                                 exhaustive_sum_rate, greedy_assignment, group_size_bounds,
-                                optimal_repulsive, oracle_assignment, random_assignment,
-                                repulsion_score, repulsive_heuristic)
+                                optimal_repulsive, oracle_assignment, pairwise_distance,
+                                random_assignment, repulsive_heuristic)
 from cfpilot.chanest import PilotAssignment, estimation_quality
 from cfpilot.config import SimConfig
-from cfpilot.errors import BudgetExceededError, ConstraintViolationError
+from cfpilot.errors import BudgetExceededError
 from cfpilot.rate_model import sum_rate, uplink_sinr
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
 
 LINE = np.array([0.0, 1.0, 10.0, 11.0])
 
 
-def line_matrix(labels):
-    return ClusterMatrix.from_labels(np.array(labels), 2)
+def objective(feats, labels):
+    return cluster_objective(pairwise_distance(feats), labels)
+
+
+def assert_balanced(labels, num_pilots):
+    low, high = group_size_bounds(len(labels), num_pilots)
+    counts = np.bincount(labels, minlength=num_pilots)
+    assert counts.min() >= low and counts.max() <= high
 
 
 def test_repulsion_score_hand_values():
-    rep = RepulsionFunction(LINE)
-    assert repulsion_score(line_matrix([0, 0, 1, 1]), rep) == pytest.approx(2.0)
-    assert repulsion_score(line_matrix([0, 1, 0, 1]), rep) == pytest.approx(20.0)
+    assert objective(LINE, [0, 0, 1, 1]) == pytest.approx(2.0)
+    assert objective(LINE, [0, 1, 0, 1]) == pytest.approx(20.0)
 
 
 def test_repulsion_score_singletons_zero():
-    rep = RepulsionFunction(np.array([3.0, 7.0]))
-    assert repulsion_score(ClusterMatrix.from_labels(np.array([0, 1]), 2), rep) == 0.0
-
-
-def test_cluster_matrix_constraint_violations():
-    with pytest.raises(ConstraintViolationError):
-        ClusterMatrix(np.array([[1, 1], [1, 0], [0, 1], [0, 1]]))  # multi-assignment
-    with pytest.raises(ConstraintViolationError):
-        ClusterMatrix(np.array([[1, 0], [1, 0], [1, 0], [1, 0]]))  # unbalanced
-    with pytest.raises(ConstraintViolationError):
-        ClusterMatrix(np.array([[2, 0], [0, 1]]))  # non-binary
-    x = ClusterMatrix(np.array([[1, 0], [0, 1], [1, 0]]))
-    assert x.labels().tolist() == [0, 1, 0]
+    assert objective(np.array([3.0, 7.0]), [0, 1]) == 0.0
 
 
 def test_repulsion_function_invariants():
     rng = np.random.default_rng(0)
     feats = rng.uniform(0, 100, size=(7, 2))
-    rep = RepulsionFunction(feats)
-    mat = rep.matrix()
+    mat = pairwise_distance(feats)
     assert np.allclose(mat, mat.T)
     assert np.all(mat >= 0)
     assert np.all(np.diag(mat) == 0)
-    assert rep(2, 5) == pytest.approx(mat[2, 5])
+    assert mat[2, 5] == pytest.approx(np.linalg.norm(feats[2] - feats[5]))
 
 
 def test_random_assignment_balance_examples():
@@ -69,9 +61,7 @@ def test_random_assignment_balance_examples():
 @settings(max_examples=150)
 def test_random_assignment_always_balanced(num_ues, num_pilots, seed):
     p = random_assignment(num_ues, num_pilots, seed)
-    low, high = group_size_bounds(num_ues, num_pilots)
-    counts = np.bincount(p.p, minlength=num_pilots)
-    assert counts.min() >= low and counts.max() <= high
+    assert_balanced(p.p, num_pilots)
 
 
 def small_realization(seed, m=10, k=6, tp=3):
@@ -115,24 +105,21 @@ def test_swap_gain_matches_full_recompute():
     for _ in range(200):
         k, tp = 8, 2
         feats = rng.uniform(0, 100, size=(k, 2))
-        rep = RepulsionFunction(feats)
-        scores = rep.matrix()
+        scores = pairwise_distance(feats)
         labels = random_assignment(k, tp, rng.integers(1 << 30)).p.copy()
         u, w = rng.choice(k, size=2, replace=False)
         if labels[u] == labels[w]:
             continue
-        before = repulsion_score(ClusterMatrix.from_labels(labels, tp), rep)
+        before = cluster_objective(scores, labels)
         gain = _swap_gain(scores, labels, u, w)
         labels[u], labels[w] = labels[w], labels[u]
-        after = repulsion_score(ClusterMatrix.from_labels(labels, tp), rep)
+        after = cluster_objective(scores, labels)
         assert gain == pytest.approx(after - before, abs=1e-9)
 
 
 def test_heuristic_line_example_reaches_optimum():
-    init = PilotAssignment(np.array([0, 0, 1, 1]))
-    out = repulsive_heuristic(LINE, 2, init=init)
-    rep = RepulsionFunction(LINE)
-    assert repulsion_score(ClusterMatrix.from_labels(out.p, 2), rep) == pytest.approx(20.0)
+    labels = _local_search(pairwise_distance(LINE), np.array([0, 0, 1, 1]), 2)
+    assert objective(LINE, labels) == pytest.approx(20.0)
 
 
 def test_heuristic_singleton_clusters_no_swaps():
@@ -153,9 +140,8 @@ def test_heuristic_output_balanced_and_locally_optimal():
         rng = np.random.default_rng(trial)
         feats = rng.uniform(0, 1000, size=(9, 2))
         out = repulsive_heuristic(feats, 3, seed=trial)
-        ClusterMatrix.from_labels(out.p, 3)  # raises if unbalanced
-        rep = RepulsionFunction(feats)
-        scores = rep.matrix()
+        assert_balanced(out.p, 3)
+        scores = pairwise_distance(feats)
         labels = out.p.copy()
         for u in range(9):
             for w in range(u + 1, 9):
@@ -165,21 +151,19 @@ def test_heuristic_output_balanced_and_locally_optimal():
 
 def brute_force_balanced_optimum(feats, num_pilots):
     k = len(feats)
-    rep = RepulsionFunction(feats)
     best = -1.0
     low, high = group_size_bounds(k, num_pilots)
     for labels in itertools.product(range(num_pilots), repeat=k):
         counts = np.bincount(labels, minlength=num_pilots)
         if counts.min() < low or counts.max() > high:
             continue
-        best = max(best, repulsion_score(ClusterMatrix.from_labels(np.array(labels), num_pilots), rep))
+        best = max(best, objective(feats, np.array(labels)))
     return best
 
 
 def test_optimal_line_example():
     out = optimal_repulsive(LINE, 2)
-    rep = RepulsionFunction(LINE)
-    assert repulsion_score(ClusterMatrix.from_labels(out.p, 2), rep) == pytest.approx(20.0)
+    assert objective(LINE, out.p) == pytest.approx(20.0)
     # lexicographically smallest of the tied optima
     assert out.p.tolist() == [0, 1, 0, 1]
 
@@ -192,8 +176,7 @@ def test_optimal_singletons_zero():
 def test_optimal_six_collinear_points():
     feats = np.arange(6.0)
     out = optimal_repulsive(feats, 3)
-    rep = RepulsionFunction(feats)
-    score = repulsion_score(ClusterMatrix.from_labels(out.p, 3), rep)
+    score = objective(feats, out.p)
     assert score == pytest.approx(9.0)
     assert score == pytest.approx(brute_force_balanced_optimum(feats, 3))
 
@@ -203,8 +186,7 @@ def test_optimal_matches_brute_force_random_instances():
         rng = np.random.default_rng(trial)
         feats = rng.uniform(0, 50, size=(6, 2))
         out = optimal_repulsive(feats, 2)
-        rep = RepulsionFunction(feats)
-        score = repulsion_score(ClusterMatrix.from_labels(out.p, 2), rep)
+        score = objective(feats, out.p)
         assert score == pytest.approx(brute_force_balanced_optimum(feats, 2), rel=1e-12)
 
 
@@ -218,11 +200,10 @@ def test_heuristic_tracks_optimal():
     ratios = []
     for trial in range(100):
         feats = np.random.default_rng(5000 + trial).uniform(0, 1000, size=(8, 2))
-        rep = RepulsionFunction(feats)
         h = repulsive_heuristic(feats, 2, seed=2000 + trial)
         o = optimal_repulsive(feats, 2)
-        sh = repulsion_score(ClusterMatrix.from_labels(h.p, 2), rep)
-        so = repulsion_score(ClusterMatrix.from_labels(o.p, 2), rep)
+        sh = objective(feats, h.p)
+        so = objective(feats, o.p)
         assert sh <= so + 1e-9
         ratios.append(sh / so)
         equal += int(abs(sh - so) < 1e-9)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpilot.chanest import (PilotAssignment, estimation_quality, pilot_correlation)
+from cfpilot.chanest import PilotAssignment, correlation_matrix, estimation_quality
 from cfpilot.assignment import oracle_assignment, random_assignment
 from cfpilot.config import SimConfig
 from cfpilot.topology import generate_realization, pilot_snr
@@ -11,20 +11,9 @@ from cfpilot.topology import generate_realization, pilot_snr
 
 def test_pilot_correlation_examples():
     p = PilotAssignment(np.array([0, 0, 1]))
-    assert pilot_correlation(p, 0, 1) == 1
-    assert pilot_correlation(p, 0, 2) == 0
-    assert pilot_correlation(p, 1, 1) == 1
+    assert correlation_matrix(p).tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
     oracle = PilotAssignment(np.array([0, 0, 1]), oracle=True)
-    assert pilot_correlation(oracle, 0, 1) == 0
-    assert pilot_correlation(oracle, 2, 2) == 1
-
-
-def test_pilot_correlation_index_errors():
-    p = PilotAssignment(np.array([0, 1]))
-    with pytest.raises(IndexError):
-        pilot_correlation(p, 0, 2)
-    with pytest.raises(IndexError):
-        pilot_correlation(p, -1, 0)
+    assert correlation_matrix(oracle).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_single_link_hand_value():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cfpilot.cli import main
 from cfpilot.harness import CSV_HEADER, read_records
@@ -102,3 +103,47 @@ def test_bad_percentile_is_config_error(tmp_path):
     out = tmp_path / "records.csv"
     main(["run", "--config", cfg, "--out", str(out)])
     assert main(["stats", "--in", str(out), "--percentile", "150"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, BASE + f"bandwidth = {value}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "bandwidth must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["repulsive", "optimal-repulsive"])
+def test_more_pilots_than_ues_is_config_error(tmp_path, capsys, strategy):
+    text = BASE.replace("num_pilots = 2", "num_pilots = 6").replace(
+        "strategies = random, oracle", f"strategies = {strategy}")
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "4 UEs cannot fill 6 pilots" in capsys.readouterr().err
+
+
+def test_missing_records_file_is_config_error(tmp_path):
+    assert main(["stats", "--in", str(tmp_path / "missing.csv")]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "fast"])
+def test_bad_record_value_is_config_error(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "records.csv"
+    main(["run", "--config", cfg, "--out", str(out)])
+    lines = out.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[4] = bad
+    lines[3] = ",".join(fields)
+    out.write_text("\n".join(lines) + "\n")
+    assert main(["stats", "--in", str(out), "--percentile", "100"]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_missing_output_directory_is_checked_before_running(tmp_path, command):
+    # An exhaustive search this large would exit 3 if the run were started.
+    text = BASE.replace("num_ues = 4", "num_ues = 30").replace(
+        "strategies = random, oracle", "strategies = exhaustive")
+    cfg = write_config(tmp_path, text + "sweep_var = num_aps\nsweep_values = 4\n")
+    out = tmp_path / "nodir" / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2

@@ -24,6 +24,8 @@ def test_percentile_validation():
         percentile([1.0], 0.0)
     with pytest.raises(ValueError):
         percentile([1.0], 1.5)
+    with pytest.raises(ValueError, match="NaN"):
+        percentile([1.0, float("nan"), 2.0], 1.0)
 
 
 @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
