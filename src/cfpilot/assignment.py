@@ -16,6 +16,8 @@ Strategies, by registered name:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.random import default_rng
 
@@ -35,6 +37,7 @@ OPTIMAL_REPULSIVE_MAX_UES = 12
 EXHAUSTIVE_BUDGET = 2_000_000
 _ENUM_CHUNK = 1 << 17
 _TABLE_CHUNK = 1 << 13
+_PARTITION_CHUNK = 1 << 13
 
 
 def group_size_bounds(num_ues, num_clusters):
@@ -234,11 +237,27 @@ def _balanced_partitions(num_ues, capacities):
     yield from place(0)
 
 
+@functools.lru_cache(maxsize=None)
+def _partition_table(num_ues, capacities):
+    """Every canonical balanced partition as one read-only int8 row, in enumeration order.
+
+    Filled on first use per (K, capacities); the K <= 12 guard bounds the key
+    set, and the twelve K = 12 tables together take 3.6 MB.
+    """
+    rows = np.fromiter(_balanced_partitions(num_ues, capacities),
+                       dtype=np.dtype((np.int8, num_ues)))
+    rows.flags.writeable = False
+    return rows
+
+
 def optimal_repulsive(features, num_pilots) -> PilotAssignment:
     """Exact maximally diverse balanced partition by full enumeration.
 
     Guarded to ``OPTIMAL_REPULSIVE_MAX_UES`` UEs; ties are broken toward the
-    lexicographically smallest canonical label vector.
+    lexicographically smallest canonical label vector. Partitions are scored
+    in chunks, each row with the same flattened K*K product and contiguous
+    sum as :func:`cluster_objective`, so every score equals its value bit
+    for bit.
     """
     scores = pairwise_distance(features)
     k = scores.shape[0]
@@ -248,15 +267,17 @@ def optimal_repulsive(features, num_pilots) -> PilotAssignment:
             guard="optimal-repulsive enumeration")
     _check_fillable(k, num_pilots)
     low, _ = group_size_bounds(k, num_pilots)
-    capacities = [low + 1] * (k % num_pilots) + [low] * (num_pilots - k % num_pilots)
-    best_score = -1.0
-    best = None
-    for labels in _balanced_partitions(k, capacities):
-        score = cluster_objective(scores, labels)
-        if score > best_score or (score == best_score and tuple(labels) < best):
-            best_score = score
-            best = tuple(labels)
-    return PilotAssignment(np.array(best, dtype=int))
+    capacities = (low + 1,) * (k % num_pilots) + (low,) * (num_pilots - k % num_pilots)
+    rows = _partition_table(k, capacities)
+    flat = scores.ravel()
+    objective = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _PARTITION_CHUNK):
+        chunk = rows[start:start + _PARTITION_CHUNK]
+        same = (chunk[:, :, None] == chunk[:, None, :]).reshape(chunk.shape[0], k * k)
+        objective[start:start + chunk.shape[0]] = (flat * same).sum(axis=1) / 2.0
+    tied = rows[objective == objective.max()]
+    codes = tied @ num_pilots ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return PilotAssignment(tied[np.argmin(codes)].astype(int))
 
 
 def _group_rate_table(beta, num_pilots, rho_p, rho_u):
@@ -290,13 +311,28 @@ def _group_rate_table(beta, num_pilots, rho_p, rho_u):
     return table
 
 
+def _digit_masks(num_pilots, ues):
+    """Member bitmask of each pilot for every digit string over ``ues``.
+
+    Entry ``[p, c]`` sets bit ``u`` for each UE ``u`` whose digit in code
+    ``c`` is ``p``; the first UE is the most significant digit.
+    """
+    n = ues.size
+    codes = np.arange(num_pilots ** n, dtype=np.int64)
+    digits = (codes[:, None] // num_pilots ** np.arange(n - 1, -1, -1, dtype=np.int64)) % num_pilots
+    bits = np.int64(1) << ues.astype(np.int64)
+    return np.stack([((digits == p) * bits).sum(axis=1) for p in range(num_pilots)])
+
+
 def exhaustive_sum_rate(realization: NetworkRealization, cfg: SimConfig) -> PilotAssignment:
     """Exact full-power sum-rate maximizer over every pilot assignment.
 
     Enumerates all ``num_pilots ** K`` assignments (no balance constraint) in
     lexicographic order and returns the first maximizer, so ties break toward
     the lexicographically smallest assignment. Guarded by
-    ``EXHAUSTIVE_BUDGET`` total assignments.
+    ``EXHAUSTIVE_BUDGET`` total assignments. Each pilot's member bitmask is
+    the OR of two precomputed half-width masks, one for the leading and one
+    for the trailing UEs, and the group rates are added in pilot order.
     """
     beta = realization.beta
     k = realization.num_ues
@@ -309,21 +345,24 @@ def exhaustive_sum_rate(realization: NetworkRealization, cfg: SimConfig) -> Pilo
     if num_pilots == 1:
         return PilotAssignment(np.zeros(k, dtype=int))
     table = _group_rate_table(beta, num_pilots, pilot_snr(cfg), uplink_snr(cfg))
-    weights = num_pilots ** np.arange(k - 1, -1, -1, dtype=np.int64)  # p[0] most significant
-    pow2 = (np.int64(1) << np.arange(k, dtype=np.int64))
+    # code = lead * num_pilots**low + tail, so row-major (lead, tail) order is code order.
+    low = k // 2
+    lead = _digit_masks(num_pilots, np.arange(k - low))
+    tail = _digit_masks(num_pilots, np.arange(k - low, k))
+    width = tail.shape[1]
+    rows_per_block = max(1, _ENUM_CHUNK // width)
     best_score = -np.inf
     best_code = 0
-    for start in range(0, total, _ENUM_CHUNK):
-        codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // weights) % num_pilots
-        scores = np.zeros(codes.size)
+    for start in range(0, lead.shape[1], rows_per_block):
+        stop = min(start + rows_per_block, lead.shape[1])
+        scores = np.zeros((stop - start, width))
         for pilot in range(num_pilots):
-            masks = (digits == pilot).astype(np.int64) @ pow2
-            scores += table[masks]
+            scores += table[lead[pilot, start:stop, None] | tail[pilot]]
         idx = int(np.argmax(scores))
-        if scores[idx] > best_score:
-            best_score = scores[idx]
-            best_code = codes[idx]
+        if scores.flat[idx] > best_score:
+            best_score = scores.flat[idx]
+            best_code = start * width + idx
+    weights = num_pilots ** np.arange(k - 1, -1, -1, dtype=np.int64)  # p[0] most significant
     labels = (best_code // weights) % num_pilots
     return PilotAssignment(labels.astype(int))
 

@@ -65,6 +65,8 @@ def _output_path(cfg, args):
     parent = Path(path).parent
     if not parent.is_dir():
         raise ConfigError(f"output directory {str(parent)!r} does not exist")
+    if Path(path).is_dir():
+        raise ConfigError(f"output path {path!r} is a directory")
     return path
 
 

@@ -130,7 +130,7 @@ def read_records(path) -> list[ThroughputRecord]:
     """Parse a records CSV produced by :func:`write_records`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read records file {path}: {exc}") from exc
     lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line]
     if not lines or lines[0][1] != CSV_HEADER:
@@ -237,6 +237,6 @@ def load_config(path) -> ExperimentConfig:
     """Load an experiment config from a flat key = value file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_values(parse_config_text(text))

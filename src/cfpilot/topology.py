@@ -24,7 +24,7 @@ PATHLOSS_SLOPE_DB = 36.7
 AP_UE_HEIGHT_GAP_M = 8.5
 
 _SEED_MASK = (1 << 64) - 1
-_WRAP_SHIFTS = np.array([(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)])
+_WRAP_SHIFTS = np.array([[-1.0], [0.0], [1.0]])  # one column, broadcast over both axes
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,16 @@ class NetworkRealization:
 def wrap_distance(a, b, side):
     """Toroidal distance on a square of the given side.
 
-    Takes the minimum Euclidean distance over the 3x3 grid of translated
-    copies of ``b``. Broadcasts over leading axes, so pairwise matrices come
-    from ``wrap_distance(aps[:, None, :], ues[None, :, :], side)``.
+    Equals the minimum Euclidean distance over the 3x3 grid of translated
+    copies of ``b``. Rounded addition and ``sqrt`` are monotone, so taking
+    the minimum squared offset per axis over the three shifts first gives
+    the same value bit for bit. Broadcasts over leading axes, so pairwise
+    matrices come from ``wrap_distance(aps[:, None, :], ues[None, :, :], side)``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     delta = a[..., None, :] - (b[..., None, :] + side * _WRAP_SHIFTS)
-    return np.sqrt((delta ** 2).sum(axis=-1)).min(axis=-1)
+    return np.sqrt((delta ** 2).min(axis=-2).sum(axis=-1))
 
 
 def large_scale_coefficient(d, shadow_db=0.0):

@@ -147,3 +147,29 @@ def test_missing_output_directory_is_checked_before_running(tmp_path, command):
     cfg = write_config(tmp_path, text + "sweep_var = num_aps\nsweep_values = 4\n")
     out = tmp_path / "nodir" / "x.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_path_naming_a_directory_is_checked_before_running(tmp_path, capsys, command):
+    # An exhaustive search this large would exit 3 if the run were started.
+    text = BASE.replace("num_ues = 4", "num_ues = 30").replace(
+        "strategies = random, oracle", "strategies = exhaustive")
+    cfg = write_config(tmp_path, text + "sweep_var = num_aps\nsweep_values = 4\n")
+    out = tmp_path / "outdir"
+    out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"\xff\xfe\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_non_utf8_records_file_is_config_error(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_bytes(b"\xff\xfe\n")
+    assert main(["stats", "--in", str(records)]) == 2
+    assert "cannot read records file" in capsys.readouterr().err

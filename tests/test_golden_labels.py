@@ -1,14 +1,18 @@
-"""Golden label vectors of the repulsive strategies on fixed realizations.
+"""Golden label vectors of the repulsive and exact strategies on fixed realizations.
 
 Each case pins the exact pilot labels that ``assign`` returns for one
 (M, K, tau_p, seed, realization index), seeded the same way the experiment
 runner seeds it. Any change to the distance arithmetic, the swap order, the
-restart loop or the tie-breaking that moves a single label fails here.
+restart loop, the enumeration order or the tie-breaking that moves a single
+label fails here. The exact-tie cases pin which of several equal maxima the
+exact searches return.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from cfpilot.assignment import assign
+from cfpilot.assignment import assign, exhaustive_sum_rate, optimal_repulsive
 from cfpilot.config import SimConfig
 from cfpilot.harness import strategy_seed
 from cfpilot.topology import generate_realization
@@ -34,6 +38,13 @@ GOLDEN = [
     ("optimal-repulsive", 50, 12, 3, 2022, 0, [0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 2, 0]),
     ("optimal-repulsive", 50, 12, 3, 5, 9, [0, 0, 1, 0, 1, 2, 0, 1, 2, 1, 2, 2]),
     ("optimal-repulsive", 30, 10, 4, 7, 2, [0, 1, 2, 3, 2, 0, 0, 3, 2, 1]),
+    # 138,600 balanced partitions: spans several scoring chunks.
+    ("optimal-repulsive", 60, 12, 5, 2022, 0, [0, 1, 2, 1, 0, 1, 3, 0, 2, 3, 4, 4]),
+    ("exhaustive", 50, 12, 3, 2022, 0, [0, 2, 2, 2, 1, 0, 1, 1, 0, 2, 1, 2]),
+    ("exhaustive", 50, 12, 3, 5, 9, [0, 1, 2, 2, 0, 1, 0, 0, 2, 1, 1, 2]),
+    ("exhaustive", 30, 8, 4, 7, 2, [0, 1, 0, 2, 2, 3, 1, 0]),
+    # 3^13 = 1,594,323 assignments: spans several blocks, odd number of UEs.
+    ("exhaustive", 20, 13, 3, 2022, 1, [0, 1, 2, 0, 0, 1, 0, 2, 0, 1, 1, 0, 1]),
 ]
 
 
@@ -44,3 +55,25 @@ def test_golden_labels(strategy, m, k, tp, seed, index, labels):
     realization = generate_realization(cfg, index)
     out = assign(strategy, realization, cfg, seed=strategy_seed(seed, index, strategy))
     assert out.p.tolist() == labels
+
+
+def test_golden_exhaustive_exact_tie():
+    # UEs 6..11 copy the gains of UEs 0..5, so 40 assignments share the
+    # maximal sum rate exactly; the lexicographically smallest one wins.
+    cfg = SimConfig(num_aps=50, num_ues=12, num_pilots=3, seed=2022)
+    realization = generate_realization(cfg, 3)
+    beta = realization.beta.copy()
+    beta[:, 6:] = beta[:, :6]
+    out = exhaustive_sum_rate(replace(realization, beta=beta), cfg)
+    assert out.p.tolist() == [0, 0, 2, 1, 1, 1, 2, 1, 2, 2, 0, 0]
+
+
+@pytest.mark.parametrize("num_pilots,labels", [
+    (3, [0, 1, 0, 2, 2, 2, 1, 1, 1, 0, 2, 0]),
+    (4, [0, 1, 2, 3, 2, 0, 3, 1, 3, 1, 2, 0]),
+])
+def test_golden_optimal_repulsive_lattice_tie(num_pilots, labels):
+    # Integer points of a 3x4 lattice: two canonical partitions share the
+    # maximal objective exactly; the lexicographically smallest one wins.
+    lattice = [(x, y) for x in range(3) for y in range(4)]
+    assert optimal_repulsive(lattice, num_pilots).p.tolist() == labels

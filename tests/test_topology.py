@@ -43,6 +43,23 @@ def test_wrap_distance_broadcasts_pairwise():
     assert d[1, 2] == pytest.approx(490.0)
 
 
+def _wrap_distance_nine_shifts(a, b, side):
+    """Reference: minimum over all nine translated copies of ``b``."""
+    shifts = np.array([(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)])
+    delta = a[..., None, :] - (b[..., None, :] + side * shifts)
+    return np.sqrt((delta ** 2).sum(axis=-1)).min(axis=-1)
+
+
+@pytest.mark.parametrize("side", [1000.0, 1.0, 333.3])
+def test_wrap_distance_matches_nine_shift_minimum_bitwise(side):
+    rng = np.random.default_rng(20)
+    random_pts = rng.uniform(0.0, side, size=(300, 2))
+    lattice = np.array([(x, y) for x in range(5) for y in range(5)]) * (side / 4)
+    for pts in (random_pts, lattice, np.vstack([random_pts[:40], lattice])):
+        a, b = pts[:, None, :], pts[None, :, :]
+        assert np.array_equal(wrap_distance(a, b, side), _wrap_distance_nine_shifts(a, b, side))
+
+
 def test_pathloss_hand_values():
     # 10 ** ((-30.5 - 36.7 * log10(d)) / 10) at d = 1 and d = 10
     assert large_scale_coefficient(1.0) == pytest.approx(8.912509381337456e-04, rel=1e-12)
