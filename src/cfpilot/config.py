@@ -59,6 +59,16 @@ class SimConfig:
             raise ConfigError("shadowing_sigma must be >= 0")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
+        from .topology import noise_power, pilot_snr, uplink_snr  # topology imports this module
+        noise = "bandwidth * boltzmann * noise_temp * noise_figure"
+        derived = (("noise power", noise, noise_power),
+                   ("pilot SNR", f"pilot_tx_power / ({noise})", pilot_snr),
+                   ("uplink SNR", f"uplink_tx_power / ({noise})", uplink_snr))
+        for label, formula, func in derived:  # noise power first: the SNRs divide by it
+            value = func(self)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{label} = {formula} must be finite and strictly positive, "
+                                  f"got {value:g}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,8 @@ class ExperimentConfig:
         for name in self.strategies:
             if name not in STRATEGY_NAMES:
                 raise ConfigError(f"unknown strategy {name!r}; known: {', '.join(STRATEGY_NAMES)}")
+            if self.strategies.count(name) > 1:
+                raise ConfigError(f"strategy {name!r} is listed more than once")
         if self.power_policy not in POLICY_NAMES:
             raise ConfigError(f"unknown power policy {self.power_policy!r}; known: {', '.join(POLICY_NAMES)}")
         if self.sweep_var is not None and self.sweep_var not in SWEEP_VARIABLES:

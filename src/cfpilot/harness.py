@@ -54,7 +54,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
     For each realization index one topology is drawn and every strategy is
     evaluated on it: assignment, estimation statistics, power policy, SINR,
     throughput. Budget guards of the exact strategies propagate as
-    ``BudgetExceededError``.
+    ``BudgetExceededError``; a UE whose summed estimate quality squared
+    under- or overflows, which leaves its SINR undefined, raises ``ConfigError``.
     """
     sim = cfg.sim
     rho_p = pilot_snr(sim)
@@ -66,6 +67,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
             pilot = assign(strategy, realization, sim,
                            seed=strategy_seed(sim.seed, index, strategy))
             quality = estimation_quality(realization.beta, pilot, sim.num_pilots, rho_p)
+            signal = quality.gamma.sum(axis=0) ** 2  # the SINR numerator's coefficient
+            lost = np.flatnonzero(~((signal > 0) & (signal < np.inf)))
+            if lost.size:
+                raise ConfigError(
+                    f"realization {index}, {strategy}: the channel-estimate quality of UE "
+                    f"{lost[0]} under- or overflows at pilot SNR {rho_p:g} "
+                    f"(pilot_tx_power = {sim.pilot_tx_power:g} W, "
+                    f"shadowing_sigma = {sim.shadowing_sigma:g} dB)")
             if cfg.power_policy == "maxmin":
                 eta = max_min_power(realization.beta, quality.gamma, pilot, rho_u).eta
             else:

@@ -15,6 +15,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .config import SimConfig
+from .errors import ConfigError
 
 # Urban-microcell NLOS pathloss at 2 GHz: PL(d)[dB] = 30.5 + 36.7*log10(d/1m).
 PATHLOSS_INTERCEPT_DB = 30.5
@@ -24,7 +25,7 @@ PATHLOSS_SLOPE_DB = 36.7
 AP_UE_HEIGHT_GAP_M = 8.5
 
 _SEED_MASK = (1 << 64) - 1
-_WRAP_SHIFTS = np.array([[-1.0], [0.0], [1.0]])  # one column, broadcast over both axes
+_WRAP_SHIFTS = np.array([-1.0, 0.0, 1.0])  # translations per axis, in units of the side
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,19 @@ def wrap_distance(a, b, side):
     Equals the minimum Euclidean distance over the 3x3 grid of translated
     copies of ``b``. Rounded addition and ``sqrt`` are monotone, so taking
     the minimum squared offset per axis over the three shifts first gives
-    the same value bit for bit. Broadcasts over leading axes, so pairwise
-    matrices come from ``wrap_distance(aps[:, None, :], ues[None, :, :], side)``.
+    the same value bit for bit. Each axis is handled on its own broadcast
+    array, with no small trailing axes to reduce. Broadcasts over leading
+    axes, so pairwise matrices come from
+    ``wrap_distance(aps[:, None, :], ues[None, :, :], side)``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    delta = a[..., None, :] - (b[..., None, :] + side * _WRAP_SHIFTS)
-    return np.sqrt((delta ** 2).min(axis=-2).sum(axis=-1))
+    squared = []
+    for axis in (0, 1):
+        # np.square, not ** 2: on 0-d inputs numpy's scalar power rounds differently.
+        lo, mid, hi = (np.square(a[..., axis] - (b[..., axis] + shift)) for shift in side * _WRAP_SHIFTS)
+        squared.append(np.minimum(np.minimum(lo, mid), hi))
+    return np.sqrt(squared[0] + squared[1])
 
 
 def large_scale_coefficient(d, shadow_db=0.0):
@@ -102,13 +109,19 @@ def generate_realization(cfg: SimConfig, realization_index) -> NetworkRealizatio
     Positions are i.i.d. uniform on the square; gains combine the wrapped
     2-D distance, the fixed height gap, and i.i.d. log-normal shadowing of
     ``cfg.shadowing_sigma`` dB per link. The draw order (APs, UEs, shadowing)
-    is part of the reproducibility contract.
+    is part of the reproducibility contract. Raises ``ConfigError`` when a
+    gain under- or overflows, which an extreme area or shadowing spread causes.
     """
     rng = default_rng(realization_seed(cfg.seed, realization_index))
     ap = rng.uniform(0.0, cfg.area_side, size=(cfg.num_aps, 2))
     ue = rng.uniform(0.0, cfg.area_side, size=(cfg.num_ues, 2))
     shadow_db = rng.normal(0.0, cfg.shadowing_sigma, size=(cfg.num_aps, cfg.num_ues))
-    d2 = wrap_distance(ap[:, None, :], ue[None, :, :], cfg.area_side)
-    d3 = np.hypot(d2, AP_UE_HEIGHT_GAP_M)
-    beta = large_scale_coefficient(d3, shadow_db)
-    return NetworkRealization(ap_positions=ap, ue_positions=ue, beta=beta)
+    with np.errstate(over="ignore"):  # an overflow shows up in beta, which NetworkRealization rejects
+        d2 = wrap_distance(ap[:, None, :], ue[None, :, :], cfg.area_side)
+        d3 = np.hypot(d2, AP_UE_HEIGHT_GAP_M)
+        beta = large_scale_coefficient(d3, shadow_db)
+    try:
+        return NetworkRealization(ap_positions=ap, ue_positions=ue, beta=beta)
+    except ValueError as exc:  # the shapes match by construction, so a gain is out of range
+        raise ConfigError(f"large-scale gains under- or overflow the float range at area_side = "
+                          f"{cfg.area_side:g} m, shadowing_sigma = {cfg.shadowing_sigma:g} dB") from exc

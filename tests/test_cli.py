@@ -173,3 +173,30 @@ def test_non_utf8_records_file_is_config_error(tmp_path, capsys):
     records.write_bytes(b"\xff\xfe\n")
     assert main(["stats", "--in", str(records)]) == 2
     assert "cannot read records file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("shadowing_sigma", "2000"), ("area_side", "1e300"),
+                                       ("noise_temp", "1e-300"), ("pilot_tx_power", "1e-300"),
+                                       ("uplink_tx_power", "1e300")])
+def test_extreme_physical_value_is_config_error(tmp_path, capsys, key, value):
+    # Each drives a gain, an SNR or an estimate statistic out of the float range.
+    cfg = write_config(tmp_path, BASE.replace("seed = 11", "seed = 1") + f"{key} = {value}\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_strategy_in_config_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.replace("strategies = random, oracle",
+                                              "strategies = random, oracle, random"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "'random' is listed more than once" in capsys.readouterr().err
+
+
+def test_repeated_strategy_on_command_line_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--strategies", "random,random", "--out", str(out)]) == 2
+    assert "'random' is listed more than once" in capsys.readouterr().err
+    assert not out.exists()

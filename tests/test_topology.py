@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from cfpilot.config import SimConfig
 from cfpilot.errors import ConfigError
-from cfpilot.topology import (generate_realization, large_scale_coefficient, noise_power,
-                              pilot_snr, uplink_snr, wrap_distance)
+from cfpilot.topology import (AP_UE_HEIGHT_GAP_M, generate_realization, large_scale_coefficient,
+                              noise_power, pilot_snr, realization_seed, uplink_snr, wrap_distance)
 
 
 def test_wrap_distance_examples():
@@ -58,6 +58,26 @@ def test_wrap_distance_matches_nine_shift_minimum_bitwise(side):
     for pts in (random_pts, lattice, np.vstack([random_pts[:40], lattice])):
         a, b = pts[:, None, :], pts[None, :, :]
         assert np.array_equal(wrap_distance(a, b, side), _wrap_distance_nine_shifts(a, b, side))
+
+
+def test_wrap_distance_of_single_points_matches_nine_shift_minimum_bitwise():
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(0.0, 1000.0, size=(4000, 2))
+    for a, b in zip(pts[:2000], pts[2000:]):
+        assert wrap_distance(a, b, 1000.0) == _wrap_distance_nine_shifts(a, b, 1000.0)
+
+
+@pytest.mark.parametrize("num_aps,num_ues", [(50, 12), (100, 40), (200, 40), (300, 40)])
+def test_realization_beta_matches_nine_shift_reference_bitwise(num_aps, num_ues):
+    cfg = base_config(num_aps=num_aps, num_ues=num_ues, num_pilots=3, seed=2022)
+    for index in (0, 5):
+        rng = np.random.default_rng(realization_seed(cfg.seed, index))
+        ap = rng.uniform(0.0, cfg.area_side, size=(num_aps, 2))
+        ue = rng.uniform(0.0, cfg.area_side, size=(num_ues, 2))
+        shadow_db = rng.normal(0.0, cfg.shadowing_sigma, size=(num_aps, num_ues))
+        d2 = _wrap_distance_nine_shifts(ap[:, None, :], ue[None, :, :], cfg.area_side)
+        beta = large_scale_coefficient(np.hypot(d2, AP_UE_HEIGHT_GAP_M), shadow_db)
+        assert np.array_equal(generate_realization(cfg, index).beta, beta)
 
 
 def test_pathloss_hand_values():
