@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ from numpy.random import SeedSequence
 from .assignment import assign
 from .chanest import estimation_quality
 from .config import STRATEGY_NAMES, ExperimentConfig, SimConfig
-from .errors import ConfigError
-from .power_control import full_power, max_min_power
-from .rate_model import rate_report
+from .errors import BudgetExceededError, ConfigError
+from .power_control import full_power, max_min_powers, power_problem
+from .rate_model import sinr_terms, terms_report
 from .topology import generate_realization, pilot_snr, uplink_snr
 
 CSV_HEADER = "realization,strategy,ue,sinr,throughput_bps"
@@ -28,6 +29,8 @@ SWEEP_HEADER = "variable,value,strategy,n,percentile,throughput_bps"
 PERCENTILE_NOTE = "# percentile method: nearest-rank (the ceil(q*N)-th smallest sample)"
 
 _SEED_MASK = (1 << 64) - 1
+# Realizations per lock-step chunk: about 256 KB per stacked (K, K) array of the chunk.
+_CHUNK_BYTES = 1 << 18
 _STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGY_NAMES)}
 
 
@@ -53,38 +56,87 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
 
     For each realization index one topology is drawn and every strategy is
     evaluated on it: assignment, estimation statistics, power policy, SINR,
-    throughput. Budget guards of the exact strategies propagate as
-    ``BudgetExceededError``; a UE whose summed estimate quality squared
-    under- or overflows, which leaves its SINR undefined, raises ``ConfigError``.
+    throughput. Realizations are taken in chunks: per realization the
+    assignments and SINR terms are built once, in order; then the chunk's
+    max-min problems are bisected in lock-step, and SINR and throughput are
+    computed from the same terms. Each output and error is that of
+    evaluating every (realization, strategy) alone, in loop order.
+
+    Budget guards of the exact strategies propagate as
+    ``BudgetExceededError``. ``ConfigError`` is raised for a UE whose summed
+    estimate quality squared under- or overflows, which leaves its SINR
+    undefined; for a max-min problem whose coupling or noise floor is not
+    finite and positive; and for a positive SINR whose throughput rounds to 0.
     """
     sim = cfg.sim
     rho_p = pilot_snr(sim)
     rho_u = uplink_snr(sim)
+    per_chunk = max(1, _CHUNK_BYTES // (8 * sim.num_ues ** 2 * len(cfg.strategies)))
     records = []
-    for index in range(sim.realizations):
-        realization = generate_realization(sim, index)
-        for strategy in cfg.strategies:
-            pilot = assign(strategy, realization, sim,
-                           seed=strategy_seed(sim.seed, index, strategy))
-            quality = estimation_quality(realization.beta, pilot, sim.num_pilots, rho_p)
-            signal = quality.gamma.sum(axis=0) ** 2  # the SINR numerator's coefficient
-            lost = np.flatnonzero(~((signal > 0) & (signal < np.inf)))
-            if lost.size:
-                raise ConfigError(
-                    f"realization {index}, {strategy}: the channel-estimate quality of UE "
-                    f"{lost[0]} under- or overflows at pilot SNR {rho_p:g} "
-                    f"(pilot_tx_power = {sim.pilot_tx_power:g} W, "
-                    f"shadowing_sigma = {sim.shadowing_sigma:g} dB)")
-            if cfg.power_policy == "maxmin":
-                eta = max_min_power(realization.beta, quality.gamma, pilot, rho_u).eta
-            else:
-                eta = full_power(sim.num_ues).eta
-            report = rate_report(realization.beta, quality.gamma, pilot, eta, sim)
-            records.extend(
-                ThroughputRecord(index, strategy, ue,
-                                 float(report.sinr[ue]), float(report.throughput[ue]))
-                for ue in range(sim.num_ues))
+    for start in range(0, sim.realizations, per_chunk):
+        drops = []
+        try:
+            for index in range(start, min(start + per_chunk, sim.realizations)):
+                realization = generate_realization(sim, index)
+                for strategy in cfg.strategies:
+                    drops.append(_build_drop(cfg, realization, index, strategy, rho_p, rho_u))
+        except (ConfigError, BudgetExceededError):
+            _evaluate(cfg, drops)  # a failure of an earlier drop comes first in loop order
+            raise
+        records.extend(_evaluate(cfg, drops))
     records.sort(key=lambda r: (r.realization, r.strategy, r.ue))
+    return records
+
+
+def _build_drop(cfg, realization, index, strategy, rho_p, rho_u):
+    """One strategy on a realization, reduced to (index, strategy, SINR terms, power problem)."""
+    sim = cfg.sim
+    pilot = assign(strategy, realization, sim, seed=strategy_seed(sim.seed, index, strategy))
+    quality = estimation_quality(realization.beta, pilot, sim.num_pilots, rho_p)
+    signal = quality.gamma.sum(axis=0) ** 2  # the SINR numerator's coefficient
+    lost = np.flatnonzero(~((signal > 0) & (signal < np.inf)))
+    if lost.size:
+        raise ConfigError(
+            f"realization {index}, {strategy}: the channel-estimate quality of UE "
+            f"{lost[0]} under- or overflows at pilot SNR {rho_p:g} "
+            f"(pilot_tx_power = {sim.pilot_tx_power:g} W, "
+            f"shadowing_sigma = {sim.shadowing_sigma:g} dB)")
+    terms = sinr_terms(realization.beta, quality.gamma, pilot)
+    if cfg.power_policy != "maxmin":
+        return index, strategy, terms, None
+    coupling, floor = power_problem(terms, rho_u)
+    lost = np.flatnonzero(~(np.isfinite(coupling).all(axis=1) & np.isfinite(floor) & (floor > 0)))
+    if lost.size:
+        raise ConfigError(
+            f"realization {index}, {strategy}: the max-min coupling or noise floor of UE "
+            f"{lost[0]} under- or overflows at uplink SNR {rho_u:g} "
+            f"(uplink_tx_power = {sim.uplink_tx_power:g} W, "
+            f"shadowing_sigma = {sim.shadowing_sigma:g} dB)")
+    return index, strategy, terms, (coupling, floor)
+
+
+def _evaluate(cfg, drops) -> list[ThroughputRecord]:
+    """Power, SINR and throughput of a chunk's drops; raises at the first that fails, in order."""
+    if not drops:
+        return []
+    sim = cfg.sim
+    if cfg.power_policy == "maxmin":
+        powers = max_min_powers(np.stack([problem[0] for *_, problem in drops]),
+                                np.stack([problem[1] for *_, problem in drops]))
+    else:
+        powers = repeat(full_power(sim.num_ues))
+    records = []
+    for (index, strategy, terms, _), power in zip(drops, powers):
+        report = terms_report(terms, power.eta, sim)
+        lost = np.flatnonzero((report.sinr > 0) & (report.throughput == 0))
+        if lost.size:
+            raise ConfigError(
+                f"realization {index}, {strategy}: the throughput of UE {lost[0]} rounds to 0 "
+                f"at SINR {report.sinr[lost[0]]:g} (uplink_tx_power = {sim.uplink_tx_power:g} W, "
+                f"pilot_tx_power = {sim.pilot_tx_power:g} W, "
+                f"shadowing_sigma = {sim.shadowing_sigma:g} dB)")
+        records.extend(ThroughputRecord(index, strategy, ue, sinr, bps) for ue, (sinr, bps)
+                       in enumerate(zip(report.sinr.tolist(), report.throughput.tolist())))
     return records
 
 

@@ -78,14 +78,13 @@ def sinr_terms(beta, gamma, assignment: PilotAssignment) -> SinrTerms:
                      uncorrelated=uncorrelated, noise=totals)
 
 
-def uplink_sinr(beta, gamma, assignment: PilotAssignment, eta, uplink_snr):
-    """Closed-form per-user uplink SINR (linear) under MR combining.
+def terms_sinr(terms: SinrTerms, eta, uplink_snr):
+    """Closed-form per-user uplink SINR (linear) under MR combining, from the SINR terms.
 
     ``eta`` is the per-UE power control vector in [0, 1]; ``uplink_snr`` the
     data transmit power normalized by noise power.
     """
     eta = np.asarray(eta, dtype=float)
-    terms = sinr_terms(beta, gamma, assignment)
     if eta.shape != terms.noise.shape:
         raise ValueError("eta must have one entry per UE")
     if np.any(eta < 0) or np.any(eta > 1):
@@ -93,6 +92,11 @@ def uplink_sinr(beta, gamma, assignment: PilotAssignment, eta, uplink_snr):
     num = uplink_snr * eta * terms.signal
     den = uplink_snr * (terms.copilot @ eta) + uplink_snr * (terms.uncorrelated @ eta) + terms.noise
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def uplink_sinr(beta, gamma, assignment: PilotAssignment, eta, uplink_snr):
+    """Closed-form per-user uplink SINR (linear); see :func:`terms_sinr`."""
+    return terms_sinr(sinr_terms(beta, gamma, assignment), eta, uplink_snr)
 
 
 def throughput(sinr, cfg: SimConfig):
@@ -107,11 +111,16 @@ def sum_rate(beta, gamma, assignment: PilotAssignment, eta, uplink_snr):
     return float(np.log2(1.0 + sinr).sum())
 
 
-def rate_report(beta, gamma, assignment: PilotAssignment, eta, cfg: SimConfig) -> RateReport:
-    """Bundle SINR, spectral rate, and throughput for one evaluated assignment."""
-    sinr = uplink_sinr(beta, gamma, assignment, eta, _uplink_snr(cfg))
+def terms_report(terms: SinrTerms, eta, cfg: SimConfig) -> RateReport:
+    """Bundle SINR, spectral rate, and throughput from the SINR terms of one assignment."""
+    sinr = terms_sinr(terms, eta, _uplink_snr(cfg))
     rate = np.log2(1.0 + sinr)
     return RateReport(sinr=sinr, rate=rate, throughput=throughput(sinr, cfg))
+
+
+def rate_report(beta, gamma, assignment: PilotAssignment, eta, cfg: SimConfig) -> RateReport:
+    """Bundle SINR, spectral rate, and throughput for one evaluated assignment."""
+    return terms_report(sinr_terms(beta, gamma, assignment), eta, cfg)
 
 
 def validate_sinr_empirically(beta, assignment: PilotAssignment, cfg: SimConfig,

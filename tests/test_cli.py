@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,4 +201,27 @@ def test_repeated_strategy_on_command_line_is_config_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["run", "--config", cfg, "--strategies", "random,random", "--out", str(out)]) == 2
     assert "'random' is listed more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_range_max_min_floor_is_config_error_without_warnings(tmp_path, capsys):
+    # The uplink SNR is a positive subnormal, so the max-min noise floor overflows.
+    cfg = write_config(tmp_path, BASE + "uplink_tx_power = 1e-320\n")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "uplink_tx_power" in err and "shadowing_sigma" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy", ["maxmin", "full"])
+def test_throughput_rounding_to_zero_is_config_error(tmp_path, capsys, policy):
+    text = BASE.replace("power_policy = maxmin", f"power_policy = {policy}")
+    cfg = write_config(tmp_path, text + "uplink_tx_power = 1e-20\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "rounds to 0" in err and "uplink_tx_power" in err and "pilot_tx_power" in err
     assert not out.exists()

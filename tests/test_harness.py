@@ -1,14 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfpilot.harness as harness
+import cfpilot.power_control as power_control
+from cfpilot.assignment import assign
+from cfpilot.chanest import estimation_quality
 from cfpilot.config import ExperimentConfig, SimConfig
-from cfpilot.errors import ConfigError
-from cfpilot.harness import (CSV_HEADER, empirical_cdf, ks_distance, config_from_values,
-                             parse_config_text, percentile, read_records, run_experiment,
-                             run_sweep, throughput_by_strategy, write_records, write_sweep)
+from cfpilot.errors import BudgetExceededError, ConfigError
+from cfpilot.harness import (CSV_HEADER, ThroughputRecord, empirical_cdf, ks_distance,
+                             config_from_values, parse_config_text, percentile, read_records,
+                             run_experiment, run_sweep, strategy_seed, throughput_by_strategy,
+                             write_records, write_sweep)
+from cfpilot.power_control import full_power, max_min_power
+from cfpilot.rate_model import rate_report
+from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
 
 
 def test_percentile_examples():
@@ -138,6 +148,96 @@ def test_paired_design_same_topology_across_strategies():
     cfg = ExperimentConfig(sim=sim, strategies=("random", "oracle"), power_policy="maxmin")
     groups = throughput_by_strategy(run_experiment(cfg))
     np.testing.assert_allclose(groups["random"], groups["oracle"], rtol=1e-6)
+
+
+def per_instance_records(cfg):
+    """``run_experiment`` as one max_min_power and rate_report call per (realization, strategy)."""
+    sim = cfg.sim
+    records = []
+    for index in range(sim.realizations):
+        realization = generate_realization(sim, index)
+        for strategy in cfg.strategies:
+            seed = strategy_seed(sim.seed, index, strategy)
+            pilot = assign(strategy, realization, sim, seed=seed)
+            gamma = estimation_quality(realization.beta, pilot, sim.num_pilots,
+                                       pilot_snr(sim)).gamma
+            if cfg.power_policy == "maxmin":
+                eta = max_min_power(realization.beta, gamma, pilot, uplink_snr(sim)).eta
+            else:
+                eta = full_power(sim.num_ues).eta
+            report = rate_report(realization.beta, gamma, pilot, eta, sim)
+            records.extend(ThroughputRecord(index, strategy, ue, float(report.sinr[ue]),
+                                            float(report.throughput[ue]))
+                           for ue in range(sim.num_ues))
+    records.sort(key=lambda r: (r.realization, r.strategy, r.ue))
+    return records
+
+
+def chunk_of(monkeypatch, cfg, realizations):
+    """Make ``run_experiment`` take ``realizations`` realizations per lock-step chunk."""
+    matrix_bytes = 8 * cfg.sim.num_ues ** 2 * len(cfg.strategies)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", realizations * matrix_bytes)
+
+
+@pytest.mark.parametrize("policy", ["maxmin", "full"])
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_lock_step_chunks_match_per_instance_evaluation(monkeypatch, policy, chunk):
+    # Five realizations in chunks of 2 end with a chunk of one, after a boundary mid-run.
+    sim = SimConfig(num_aps=30, num_ues=8, num_pilots=3, realizations=5, seed=17)
+    cfg = ExperimentConfig(sim=sim, strategies=("random", "greedy", "oracle"), power_policy=policy)
+    chunk_of(monkeypatch, cfg, chunk)
+    assert run_experiment(cfg) == per_instance_records(cfg)
+
+
+def test_default_chunk_matches_per_instance_evaluation_at_the_main_point():
+    sim = SimConfig(num_aps=100, num_ues=40, num_pilots=10, realizations=7, seed=2022)
+    cfg = ExperimentConfig(sim=sim, strategies=("random", "greedy", "oracle"))
+    assert run_experiment(cfg) == per_instance_records(cfg)
+
+
+def fail_assignment_at(monkeypatch, realization, strategy):
+    real = harness.assign
+
+    def fake(name, drop, sim, seed):
+        if (seed.spawn_key[0], name) == (realization, strategy):
+            raise BudgetExceededError("assignment fails here", guard="test")
+        return real(name, drop, sim, seed=seed)
+    monkeypatch.setattr(harness, "assign", fake)
+
+
+def fail_power_at(monkeypatch, position):
+    """Make the max-min solve fail at the ``position``-th instance, counted in loop order."""
+    real = power_control.max_min_powers
+    seen = itertools.count()
+
+    def fake(coupling, floor, tol=power_control.BISECTION_TOL):
+        for power in real(coupling, floor, tol):
+            if next(seen) == position:
+                raise BudgetExceededError("max-min fails here", guard="test")
+            yield power
+    monkeypatch.setattr(harness, "max_min_powers", fake)
+
+
+# (failing assignment, failing max-min instance in loop order, expected error, uplink_tx_power)
+ORDER_CASES = [
+    ((1, "random"), 1, (BudgetExceededError, "max-min fails here"), 0.1),  # (0, oracle) first
+    ((0, "oracle"), 2, (BudgetExceededError, "assignment fails here"), 0.1),
+    ((1, "oracle"), 3, (BudgetExceededError, "assignment fails here"), 0.1),  # same drop
+    ((2, "random"), 1, (ConfigError, "rounds to 0"), 1e-20),  # (0, random) writes 0 first
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("assign_at,power_at,expected,uplink_power", ORDER_CASES)
+def test_first_failure_in_loop_order_decides_the_error(monkeypatch, chunk, assign_at, power_at,
+                                                       expected, uplink_power):
+    cfg = tiny_experiment(sim=dict(realizations=3, uplink_tx_power=uplink_power))
+    chunk_of(monkeypatch, cfg, chunk)
+    fail_assignment_at(monkeypatch, *assign_at)
+    fail_power_at(monkeypatch, power_at)
+    error, message = expected
+    with pytest.raises(error, match=message):
+        run_experiment(cfg)
 
 
 def test_sweep_row_count(tmp_path):
