@@ -31,7 +31,7 @@ from .topology import NetworkRealization, pilot_snr, uplink_snr
 SWAP_TOLERANCE = 1e-12
 # Independent local-search starts for the repulsive heuristic; single starts
 # land in sub-optimal 1-swap local optima on roughly a third of instances.
-DEFAULT_RESTARTS = 8
+RESTARTS = 8
 # Guards for the exact searches.
 OPTIMAL_REPULSIVE_MAX_UES = 12
 EXHAUSTIVE_BUDGET = 2_000_000
@@ -74,25 +74,22 @@ def random_assignment(num_ues, num_pilots, seed) -> PilotAssignment:
     return PilotAssignment(labels)
 
 
-def greedy_assignment(realization: NetworkRealization, cfg: SimConfig, seed,
-                      iterations=None) -> PilotAssignment:
+def greedy_assignment(realization: NetworkRealization, cfg: SimConfig, seed) -> PilotAssignment:
     """Iteratively reseat the minimum-rate UE on the least-contaminating pilot.
 
     Rates are evaluated at full power; each round moves the worst UE to the
     pilot whose current co-pilot UEs have the smallest total gain summed over
     all APs. Stops early once the chosen UE would keep its pilot (the state
-    can never change afterwards). Defaults to 2K rounds.
+    can never change afterwards). Runs at most 2K rounds.
     """
     beta = realization.beta
     k = realization.num_ues
-    if iterations is None:
-        iterations = 2 * k
     rho_p = pilot_snr(cfg)
     rho_u = uplink_snr(cfg)
     eta = np.ones(k)
     ue_gain = beta.sum(axis=0)
     labels = random_assignment(k, cfg.num_pilots, seed).p.copy()
-    for _ in range(iterations):
+    for _ in range(2 * k):
         assignment = PilotAssignment(labels)
         gamma = estimation_quality(beta, assignment, cfg.num_pilots, rho_p).gamma
         sinr = uplink_sinr(beta, gamma, assignment, eta, rho_u)
@@ -104,15 +101,6 @@ def greedy_assignment(realization: NetworkRealization, cfg: SimConfig, seed,
             break
         labels[worst] = target
     return PilotAssignment(labels)
-
-
-def _swap_gain(scores, labels, u, w):
-    """Objective change from exchanging the clusters of UEs u and w."""
-    members_u = np.flatnonzero(labels == labels[u])
-    members_w = np.flatnonzero(labels == labels[w])
-    gain = (scores[w, members_u] - scores[u, members_u]).sum()
-    gain += (scores[u, members_w] - scores[w, members_w]).sum()
-    return gain - 2.0 * scores[u, w]
 
 
 def _cluster_sums(scores, labels, cluster):
@@ -167,27 +155,24 @@ def _check_fillable(num_ues, num_pilots):
                           "the repulsive strategies need num_ues >= num_pilots")
 
 
-def repulsive_heuristic(features, num_pilots, seed=0,
-                        restarts=DEFAULT_RESTARTS) -> PilotAssignment:
+def repulsive_heuristic(features, num_pilots, seed=0) -> PilotAssignment:
     """Swap-based local search for a balanced, maximally diverse partition.
 
     Each start begins from a balanced random partition and sweeps all cluster
     pairs in lexicographic order and all cross-pair UE pairs in index order,
     exchanging two UEs whenever that strictly increases the total
     within-cluster dissimilarity; a start terminates when a full sweep
-    accepts no swap. The best of ``restarts`` such runs is returned (ties
+    accepts no swap. The best of ``RESTARTS`` such runs is returned (ties
     keep the earliest), so the result is balanced, 1-swap locally optimal,
     and deterministic given the seed.
     """
     scores = pairwise_distance(features)
     k = scores.shape[0]
     _check_fillable(k, num_pilots)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     rng = default_rng(seed)
     best_labels = None
     best_score = -1.0
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         labels = np.empty(k, dtype=int)
         labels[rng.permutation(k)] = np.arange(k) % num_pilots
         _local_search(scores, labels, num_pilots)

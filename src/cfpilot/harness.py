@@ -93,15 +93,16 @@ def _build_drop(cfg, realization, index, strategy, rho_p, rho_u):
     sim = cfg.sim
     pilot = assign(strategy, realization, sim, seed=strategy_seed(sim.seed, index, strategy))
     quality = estimation_quality(realization.beta, pilot, sim.num_pilots, rho_p)
-    signal = quality.gamma.sum(axis=0) ** 2  # the SINR numerator's coefficient
-    lost = np.flatnonzero(~((signal > 0) & (signal < np.inf)))
+    # Out-of-range terms are rejected below: the numerator always, the coupling under max-min.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = sinr_terms(realization.beta, quality.gamma, pilot)
+    lost = np.flatnonzero(~((terms.signal > 0) & (terms.signal < np.inf)))
     if lost.size:
         raise ConfigError(
             f"realization {index}, {strategy}: the channel-estimate quality of UE "
             f"{lost[0]} under- or overflows at pilot SNR {rho_p:g} "
             f"(pilot_tx_power = {sim.pilot_tx_power:g} W, "
             f"shadowing_sigma = {sim.shadowing_sigma:g} dB)")
-    terms = sinr_terms(realization.beta, quality.gamma, pilot)
     if cfg.power_policy != "maxmin":
         return index, strategy, terms, None
     coupling, floor = power_problem(terms, rho_u)
@@ -175,15 +176,11 @@ def ks_distance(a, b):
     return float(np.abs(cdf_a - cdf_b).max())
 
 
-def format_record(record: ThroughputRecord) -> str:
-    return (f"{record.realization},{record.strategy},{record.ue},"
-            f"{record.sinr:.9g},{record.throughput_bps:.9g}")
-
-
 def write_records(records, path):
     """Write records as CSV with the canonical header, LF line endings."""
     lines = [CSV_HEADER]
-    lines.extend(format_record(r) for r in records)
+    lines.extend(f"{r.realization},{r.strategy},{r.ue},{r.sinr:.9g},{r.throughput_bps:.9g}"
+                 for r in records)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
@@ -229,10 +226,10 @@ def run_sweep(cfg: ExperimentConfig, q=0.95) -> list[tuple]:
     rows = []
     for value in cfg.sweep_values:
         sim = replace(cfg.sim, **{cfg.sweep_var: int(value)})
-        records = run_experiment(replace(cfg, sim=sim))
+        grouped = throughput_by_strategy(run_experiment(replace(cfg, sim=sim)))
         for strategy in cfg.strategies:
-            samples = [r.throughput_bps for r in records if r.strategy == strategy]
-            rows.append((cfg.sweep_var, int(value), strategy, len(samples),
+            samples = grouped[strategy]
+            rows.append((cfg.sweep_var, int(value), strategy, samples.size,
                          q * 100.0, percentile(samples, q)))
     return rows
 

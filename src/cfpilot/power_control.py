@@ -41,7 +41,7 @@ _TRUSTED_ERROR = 1e-10
 
 @dataclass(frozen=True)
 class PowerCoefficients:
-    """Per-UE uplink power control coefficients in [0, 1]."""
+    """Per-UE uplink power control coefficients, clipped to [0, 1] within ``_CAP_SLACK``."""
 
     eta: np.ndarray
 
@@ -49,7 +49,7 @@ class PowerCoefficients:
         eta = np.asarray(self.eta, dtype=float)
         if eta.ndim != 1 or eta.size < 1:
             raise ValueError("eta must be a non-empty 1-D vector")
-        if np.any(eta < -1e-12) or np.any(eta > 1 + 1e-12):
+        if np.any(eta < -_CAP_SLACK) or np.any(eta > 1 + _CAP_SLACK):
             raise ValueError("power coefficients must lie in [0, 1]")
         object.__setattr__(self, "eta", np.clip(eta, 0.0, 1.0))
 
@@ -118,8 +118,8 @@ def _judge(coupling, floor, rows, targets, radius):
     return x, feasible
 
 
-def max_min_powers(coupling, floor, tol=BISECTION_TOL):
-    """Max-min power vectors of a stack of instances, bisected in lock-step to relative ``tol``.
+def max_min_powers(coupling, floor):
+    """Max-min power vectors of stacked instances, bisected in lock-step to relative ``BISECTION_TOL``.
 
     ``coupling`` is (n, K, K) and ``floor`` (n, K), one instance per row, as
     built by :func:`power_problem`. Each instance's common SINR target is
@@ -134,8 +134,6 @@ def max_min_powers(coupling, floor, tol=BISECTION_TOL):
     ``BudgetExceededError`` on reaching an instance whose full-power SINR
     floor no power vector certifies.
     """
-    if tol <= 0:
-        raise ValueError("tol must be strictly positive")
     ones = np.ones(floor.shape[1])
     lo = [float((1.0 / (c @ ones + f)).min()) for c, f in zip(coupling, floor)]
     hi = (1.0 / (coupling.diagonal(axis1=1, axis2=2) + floor)).min(axis=1).tolist()
@@ -143,7 +141,7 @@ def max_min_powers(coupling, floor, tol=BISECTION_TOL):
     eta, certified = _judge(coupling, floor, range(len(lo)), np.array(lo), radius)
     live = [i for i, ok in enumerate(certified) if ok]
     for _ in range(BISECTION_BUDGET):
-        live = [i for i in live if not hi[i] <= lo[i] * (1.0 + tol)]
+        live = [i for i in live if not hi[i] <= lo[i] * (1.0 + BISECTION_TOL)]
         if not live:
             break
         mid = [math.sqrt(lo[i] * hi[i]) for i in live]
@@ -161,11 +159,10 @@ def max_min_powers(coupling, floor, tol=BISECTION_TOL):
         yield PowerCoefficients(row)
 
 
-def max_min_power(beta, gamma, assignment: PilotAssignment, uplink_snr,
-                  tol=BISECTION_TOL) -> PowerCoefficients:
-    """Power vector maximizing the minimum per-user SINR, to relative ``tol``.
+def max_min_power(beta, gamma, assignment: PilotAssignment, uplink_snr) -> PowerCoefficients:
+    """Power vector maximizing the minimum per-user SINR, to relative ``BISECTION_TOL``.
 
     A stack of one for :func:`max_min_powers`.
     """
     coupling, floor = power_problem(sinr_terms(beta, gamma, assignment), uplink_snr)
-    return next(max_min_powers(coupling[None], floor[None], tol))
+    return next(max_min_powers(coupling[None], floor[None]))

@@ -1,4 +1,4 @@
-"""Per-user uplink SINR, rate, and throughput under maximum-ratio combining.
+"""Per-user uplink SINR and throughput under maximum-ratio combining.
 
 The production path is the closed form built from the estimation statistics;
 a symbol-level Monte Carlo validator cross-checks it by actually drawing
@@ -41,10 +41,9 @@ class SinrTerms:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user SINR (linear), rate (bits/s/Hz), and throughput (bits/s)."""
+    """Per-user SINR (linear) and throughput (bits/s)."""
 
     sinr: np.ndarray
-    rate: np.ndarray
     throughput: np.ndarray
 
 
@@ -105,21 +104,14 @@ def throughput(sinr, cfg: SimConfig):
     return cfg.bandwidth * prelog * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
-def sum_rate(beta, gamma, assignment: PilotAssignment, eta, uplink_snr):
-    """Network sum rate in bits/s/Hz for one assignment and power vector."""
-    sinr = uplink_sinr(beta, gamma, assignment, eta, uplink_snr)
-    return float(np.log2(1.0 + sinr).sum())
-
-
 def terms_report(terms: SinrTerms, eta, cfg: SimConfig) -> RateReport:
-    """Bundle SINR, spectral rate, and throughput from the SINR terms of one assignment."""
+    """Bundle SINR and throughput from the SINR terms of one assignment."""
     sinr = terms_sinr(terms, eta, _uplink_snr(cfg))
-    rate = np.log2(1.0 + sinr)
-    return RateReport(sinr=sinr, rate=rate, throughput=throughput(sinr, cfg))
+    return RateReport(sinr=sinr, throughput=throughput(sinr, cfg))
 
 
 def rate_report(beta, gamma, assignment: PilotAssignment, eta, cfg: SimConfig) -> RateReport:
-    """Bundle SINR, spectral rate, and throughput for one evaluated assignment."""
+    """Bundle SINR and throughput for one evaluated assignment."""
     return terms_report(sinr_terms(beta, gamma, assignment), eta, cfg)
 
 

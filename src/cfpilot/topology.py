@@ -45,10 +45,6 @@ class NetworkRealization:
             raise ValueError("beta entries must be strictly positive and finite")
 
     @property
-    def num_aps(self):
-        return self.ap_positions.shape[0]
-
-    @property
     def num_ues(self):
         return self.ue_positions.shape[0]
 

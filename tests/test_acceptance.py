@@ -14,9 +14,9 @@ import functools
 import numpy as np
 import pytest
 
-from cfpilot.assignment import (_swap_gain, assign, cluster_objective, group_size_bounds,
-                                optimal_repulsive, oracle_assignment, pairwise_distance,
-                                random_assignment, repulsive_heuristic)
+from cfpilot.assignment import (assign, cluster_objective, group_size_bounds, optimal_repulsive,
+                                oracle_assignment, pairwise_distance, random_assignment,
+                                repulsive_heuristic)
 from cfpilot.chanest import estimation_quality
 from cfpilot.config import ExperimentConfig, SimConfig
 from cfpilot.harness import (empirical_cdf, ks_distance, percentile, run_experiment,
@@ -24,6 +24,7 @@ from cfpilot.harness import (empirical_cdf, ks_distance, percentile, run_experim
 from cfpilot.power_control import full_power, max_min_power
 from cfpilot.rate_model import throughput, uplink_sinr, validate_sinr_empirically
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
+from reference import swap_gain
 
 SEED = 2022
 LIKELY_Q = 0.05  # 95%-likely: level exceeded by 95% of samples
@@ -200,7 +201,7 @@ def _property_balance_and_local_optimality():
         labels = out.p
         for u in range(8):
             for w in range(u + 1, 8):
-                if labels[u] != labels[w] and _swap_gain(scores, labels, u, w) > 1e-9:
+                if labels[u] != labels[w] and swap_gain(scores, labels, u, w) > 1e-9:
                     return False
     return True
 

@@ -216,6 +216,21 @@ def test_out_of_range_max_min_floor_is_config_error_without_warnings(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed,sigma", [(11, 650), (11, 700), (1, 1000)])
+def test_out_of_range_estimate_quality_is_config_error_without_warnings(tmp_path, capsys,
+                                                                         seed, sigma):
+    # A UE's summed estimate quality squared, the SINR numerator's coefficient, overflows.
+    text = BASE.replace("seed = 11", f"seed = {seed}") + f"shadowing_sigma = {sigma}\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "channel-estimate quality" in err and "shadowing_sigma" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy", ["maxmin", "full"])
 def test_throughput_rounding_to_zero_is_config_error(tmp_path, capsys, policy):
     text = BASE.replace("power_policy = maxmin", f"power_policy = {policy}")

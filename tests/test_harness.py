@@ -210,8 +210,8 @@ def fail_power_at(monkeypatch, position):
     real = power_control.max_min_powers
     seen = itertools.count()
 
-    def fake(coupling, floor, tol=power_control.BISECTION_TOL):
-        for power in real(coupling, floor, tol):
+    def fake(coupling, floor):
+        for power in real(coupling, floor):
             if next(seen) == position:
                 raise BudgetExceededError("max-min fails here", guard="test")
             yield power

@@ -5,9 +5,9 @@ from cfpilot.assignment import oracle_assignment, random_assignment
 from cfpilot.chanest import PilotAssignment, estimation_quality
 from cfpilot.config import SimConfig
 from cfpilot.power_control import max_min_power
-from cfpilot.rate_model import (sinr_terms, sum_rate, throughput, uplink_sinr,
-                                validate_sinr_empirically)
+from cfpilot.rate_model import sinr_terms, throughput, uplink_sinr, validate_sinr_empirically
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
+from reference import sum_rate
 
 
 def small_instance(seed, m=6, k=4, tp=2):
