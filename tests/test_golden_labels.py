@@ -27,6 +27,10 @@ GOLDEN = [
     ("repulsive", 100, 40, 10, 11, 3,
      [0, 6, 2, 1, 5, 3, 5, 7, 4, 4, 4, 3, 8, 9, 1, 6, 7, 8, 2, 1,
       2, 3, 9, 6, 5, 5, 7, 6, 8, 8, 9, 0, 7, 2, 3, 1, 9, 4, 0, 0]),
+    # Ten members per cluster: numpy sums rows of 8 or more pairwise.
+    ("repulsive", 100, 40, 4, 2022, 0,
+     [0, 2, 1, 2, 3, 2, 0, 1, 3, 1, 0, 1, 3, 2, 3, 0, 3, 0, 3, 3,
+      3, 0, 1, 1, 0, 2, 3, 2, 2, 0, 0, 3, 1, 1, 2, 2, 2, 1, 0, 1]),
     ("repulsive", 50, 12, 3, 2022, 0, [0, 2, 1, 0, 2, 1, 0, 2, 1, 2, 1, 0]),
     ("repulsive", 50, 12, 3, 5, 9, [2, 2, 1, 2, 1, 0, 2, 1, 0, 1, 0, 0]),
     ("repulsive", 200, 100, 20, 2022, 1,
