@@ -129,7 +129,7 @@ def _evaluate(cfg, drops) -> list[ThroughputRecord]:
     records = []
     for (index, strategy, terms, _), power in zip(drops, powers):
         report = terms_report(terms, power.eta, sim)
-        lost = np.flatnonzero((report.sinr > 0) & (report.throughput == 0))
+        lost = np.flatnonzero(report.throughput == 0)
         if lost.size:
             raise ConfigError(
                 f"realization {index}, {strategy}: the throughput of UE {lost[0]} rounds to 0 "

@@ -240,3 +240,16 @@ def test_throughput_rounding_to_zero_is_config_error(tmp_path, capsys, policy):
     err = capsys.readouterr().err
     assert "rounds to 0" in err and "uplink_tx_power" in err and "pilot_tx_power" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", [250, 300, 400, 500])
+def test_max_min_power_of_zero_is_config_error(tmp_path, capsys, sigma):
+    # At this shadowing max-min leaves some UEs a power coefficient of 0 (or
+    # one that underflows the SINR to 0), so their throughput is exactly 0.
+    cfg = write_config(tmp_path, BASE + f"shadowing_sigma = {sigma}\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "rounds to 0 at SINR 0 " in err
+    assert all(name in err for name in ("uplink_tx_power", "pilot_tx_power", "shadowing_sigma"))
+    assert not out.exists()
