@@ -29,6 +29,7 @@ from .topology import NetworkRealization, pilot_snr, uplink_snr
 
 # Strict-improvement margin for accepting a swap; guards against float cycling.
 SWAP_TOLERANCE = 1e-12
+_NO_SWAP = np.iinfo(np.uint64).max
 # Independent local-search starts for the repulsive heuristic; single starts
 # land in sub-optimal 1-swap local optima on roughly a third of instances.
 RESTARTS = 8
@@ -103,49 +104,106 @@ def greedy_assignment(realization: NetworkRealization, cfg: SimConfig, seed) -> 
     return PilotAssignment(labels)
 
 
-def _cluster_sums(scores, labels, cluster):
-    """Each UE's summed dissimilarity to the members of one cluster."""
-    return scores[:, np.flatnonzero(labels == cluster)].sum(axis=1)
+def _cluster_sums(columns, labels, runs, clusters, short, slots):
+    """Each UE's summed dissimilarity to cluster ``clusters[t]`` of start ``runs[t]``.
 
-
-def _local_search(scores, labels, num_pilots):
-    """Sweep cluster pairs lexicographically until a full sweep accepts no swap.
-
-    Within a pair, the first improving swap in UE index order is applied and
-    the pair is re-scanned until none is left. A scan that accepts nothing
-    leaves the state unchanged, so instead of scanning pair by pair, the
-    gains of every cross-cluster swap are evaluated at once and the search
-    jumps to the first pair, at or after the current one, that holds an
-    improving swap. Per-cluster sums are recomputed only for the two
-    clusters a swap touches, with the same arithmetic as a fresh scan, so
-    each gain equals the one-at-a-time delta bit for bit.
+    ``columns[j]`` is column j of the dissimilarity matrix, and its last row
+    is zeros. Members are added one at a time in ascending index order. That
+    is the order in which numpy reduces ``scores[:, members].sum(axis=1)``,
+    because fancy indexing lays that array out column-major. A cluster that
+    is ``short`` of ``slots`` members adds the zero row last, which leaves
+    its sum unchanged.
     """
-    k = labels.size
-    rows = np.arange(k)
+    k = labels.shape[1]
+    member = np.empty((runs.size, k + 1), dtype=bool)
+    np.equal(labels[runs], clusters[:, None], out=member[:, :k])
+    member[:, k] = short[clusters]
+    gathered = columns[np.nonzero(member)[1].reshape(runs.size, slots)]
+    total = gathered[:, 0].copy()
+    for slot in range(1, slots):
+        total += gathered[:, slot]
+    return total
+
+
+def _lockstep_search(scores, starts, num_pilots):
+    """Run the swap local search from every row of ``starts`` at once; returns the final labels.
+
+    Each start sweeps cluster pairs lexicographically until a full sweep
+    accepts no swap. Within a pair, the first improving swap in UE index
+    order is applied and the pair is re-scanned until none is left. A scan
+    that accepts nothing leaves the state unchanged, so each iteration
+    evaluates the gains of every cross-cluster swap of every live start as
+    one (starts, K, K) stack. Each start then applies the first improving
+    swap, in (pair code, u, w) order, at or after the pair it is on, and
+    wraps around to pair 0 when none is left ahead. A start ends when it
+    holds no improving swap at all. Per-cluster sums are refreshed only for
+    the two clusters a swap touches, with the arithmetic of a fresh sum, and
+    each gain is the same elementwise expression as a single-start scan, so
+    every decision matches that scan bit for bit.
+    """
+    labels = starts.astype(np.int64)
+    final = np.empty_like(labels)
+    count, k = labels.shape
+    extra = k % num_pilots                  # clusters below `extra` hold one UE more
+    slots = k // num_pilots + (extra > 0)
+    short = (np.arange(num_pilots) >= extra) & (extra > 0)
+    columns = np.zeros((k + 1, k))
+    columns[:k] = scores.T
     twice = 2.0 * scores
-    sums = np.empty((k, num_pilots))
-    for cluster in range(num_pilots):
-        sums[:, cluster] = _cluster_sums(scores, labels, cluster)
-    start = 0                          # pair code first * num_pilots + second
-    improved = False
-    while True:
-        toward = sums[:, labels]       # toward[i, j]: UE i's sum over j's cluster
-        own = toward[rows, rows]
-        gains = toward.T - own[:, None] + toward - own[None, :] - twice
-        u, w = np.nonzero((gains > SWAP_TOLERANCE) & (labels[:, None] < labels[None, :]))
-        codes = labels[u] * num_pilots + labels[w]
-        ahead = np.flatnonzero(codes >= start)
-        if ahead.size == 0:
-            if not improved:
-                return labels
-            start, improved = 0, False
-            continue
-        hit = ahead[np.argmin(codes[ahead])]   # earliest pair, then row-major order
-        first, second = labels[u[hit]], labels[w[hit]]
-        labels[u[hit]], labels[w[hit]] = second, first
-        sums[:, first] = _cluster_sums(scores, labels, first)
-        sums[:, second] = _cluster_sums(scores, labels, second)
-        start, improved = codes[hit], True
+    square = k * k
+    ue = np.arange(k)
+    # Work arrays for the live starts; rows of finished starts are dropped.
+    toward = np.empty((count, k, k))        # toward[r, u, w]: w's sum over u's cluster
+    gains = np.empty((count, k, k))
+    idles = np.empty((count, k, k), dtype=bool)
+    ordered = np.empty((count, k, k), dtype=bool)
+    keys = np.empty((count, k, k), dtype=np.uint64)
+    sums = np.empty((count, num_pilots, k))  # sums[r, c, i]: UE i's sum over cluster c
+    runs = np.repeat(np.arange(count), num_pilots)
+    clusters = np.tile(np.arange(num_pilots), count)
+    sums[runs, clusters] = _cluster_sums(columns, labels, runs, clusters, short, slots)
+    live = np.arange(count)
+    code = np.zeros(count, dtype=np.int64)  # pair code first * num_pilots + second
+    while live.size:
+        n = live.size
+        rows = np.arange(n)
+        at, gain, idle, key = toward[:n], gains[:n], idles[:n], keys[:n]
+        np.take(sums[:n].reshape(n * num_pilots, k), labels + (rows * num_pilots)[:, None],
+                axis=0, out=at)
+        own = at.diagonal(axis1=1, axis2=2)
+        np.subtract(at, own[:, :, None], out=gain)
+        gain += at.transpose(0, 2, 1)
+        gain -= own[:, None, :]
+        gain -= twice
+        # idle[r, u, w]: swapping u and w does not improve, or u's cluster is not below w's.
+        np.greater(gain, SWAP_TOLERANCE, out=idle)
+        idle &= np.less(labels[:, :, None], labels[:, None, :], out=ordered[:n])
+        np.logical_not(idle, out=idle)
+        # key = (pair code - code) * K^2 + u * K + w, modulo 2^64: the smallest
+        # is the first improving swap at or after `code`, else the first behind it.
+        # u == w never improves, so no such key equals _NO_SWAP.
+        lead = labels * (num_pilots * square) + ue * k - (code * square)[:, None]
+        trail = labels * square + ue
+        np.add(lead.view(np.uint64)[:, :, None], trail.view(np.uint64)[:, None, :], out=key)
+        np.putmask(key, idle, _NO_SWAP)
+        flat = key.reshape(n, square)
+        pos = flat.argmin(axis=1)
+        found = flat[rows, pos] != _NO_SWAP
+        if not found.all():
+            final[live[~found]] = labels[~found]
+            live, labels, pos = live[found], labels[found], pos[found]
+            sums[:live.size] = sums[:n][found]
+            n = live.size
+            if not n:
+                break
+            rows = np.arange(n)
+        u, w = np.divmod(pos, k)
+        first, second = labels[rows, u], labels[rows, w]
+        code = first * num_pilots + second
+        labels[rows, u], labels[rows, w] = second, first
+        runs, clusters = np.concatenate([rows, rows]), np.concatenate([first, second])
+        sums[runs, clusters] = _cluster_sums(columns, labels, runs, clusters, short, slots)
+    return final
 
 
 def _check_fillable(num_ues, num_pilots):
@@ -170,12 +228,12 @@ def repulsive_heuristic(features, num_pilots, seed=0) -> PilotAssignment:
     k = scores.shape[0]
     _check_fillable(k, num_pilots)
     rng = default_rng(seed)
+    starts = np.empty((RESTARTS, k), dtype=int)
+    for labels in starts:
+        labels[rng.permutation(k)] = np.arange(k) % num_pilots
     best_labels = None
     best_score = -1.0
-    for _ in range(RESTARTS):
-        labels = np.empty(k, dtype=int)
-        labels[rng.permutation(k)] = np.arange(k) % num_pilots
-        _local_search(scores, labels, num_pilots)
+    for labels in _lockstep_search(scores, starts, num_pilots):
         score = cluster_objective(scores, labels)
         if score > best_score:
             best_score = score

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpilot.assignment import (_local_search, assign, cluster_objective, exhaustive_sum_rate,
-                                greedy_assignment, group_size_bounds, optimal_repulsive,
-                                oracle_assignment, pairwise_distance, random_assignment,
-                                repulsive_heuristic)
+from cfpilot.assignment import (RESTARTS, _cluster_sums, _lockstep_search, assign, cluster_objective,
+                                exhaustive_sum_rate, greedy_assignment, group_size_bounds,
+                                optimal_repulsive, oracle_assignment, pairwise_distance,
+                                random_assignment, repulsive_heuristic)
 from cfpilot.chanest import PilotAssignment, estimation_quality
 from cfpilot.config import SimConfig
 from cfpilot.errors import BudgetExceededError
 from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
-from reference import sum_rate, swap_gain
+from reference import cluster_sums, local_search, repulsive_restarts, sum_rate, swap_gain
 
 LINE = np.array([0.0, 1.0, 10.0, 11.0])
 
@@ -113,8 +113,81 @@ def test_swap_gain_matches_full_recompute():
 
 
 def test_heuristic_line_example_reaches_optimum():
-    labels = _local_search(pairwise_distance(LINE), np.array([0, 0, 1, 1]), 2)
+    labels = _lockstep_search(pairwise_distance(LINE), np.array([[0, 0, 1, 1]]), 2)[0]
     assert objective(LINE, labels) == pytest.approx(20.0)
+
+
+def random_starts(num_ues, num_pilots, seed, count=RESTARTS):
+    return np.stack([random_assignment(num_ues, num_pilots, seed + i).p for i in range(count)])
+
+
+def assert_matches_single_starts(feats, starts, num_pilots):
+    """Every row of the lock-step search ends where the single-start reference does."""
+    scores = pairwise_distance(feats)
+    out = _lockstep_search(scores, starts, num_pilots)
+    for start, labels in zip(starts, out):
+        assert labels.tolist() == local_search(scores, start.copy(), num_pilots).tolist()
+    return out
+
+
+@pytest.mark.parametrize("k,tp", [(40, 10), (13, 3), (40, 4), (100, 5), (30, 1)])
+def test_cluster_sums_equal_fresh_sums_bit_for_bit(k, tp):
+    # Swap decisions rarely hinge on the last bit of a sum, so the sums are
+    # checked directly. A contiguous sum of 8 or more members is pairwise in
+    # numpy and would round differently from the column-by-column fresh sum.
+    scores = pairwise_distance(np.random.default_rng(k + tp).uniform(0, 1000, size=(k, 2)))
+    starts = random_starts(k, tp, 11)
+    columns = np.vstack([scores.T, np.zeros(k)])
+    slots = -(-k // tp)
+    short = np.bincount(starts[0], minlength=tp) < slots
+    runs = np.repeat(np.arange(RESTARTS), tp)
+    clusters = np.tile(np.arange(tp), RESTARTS)
+    sums = _cluster_sums(columns, starts, runs, clusters, short, slots)
+    for run, cluster, total in zip(runs, clusters, sums):
+        assert total.tolist() == cluster_sums(scores, starts[run], cluster).tolist()
+
+
+@pytest.mark.parametrize("m,k,tp,count", [
+    (100, 40, 10, 15),
+    (50, 12, 3, 40),
+    (50, 13, 3, 40),   # unequal cluster sizes: 5, 4, 4
+    (100, 40, 4, 6),   # ten members per cluster
+    (50, 10, 10, 10),  # singleton clusters
+])
+def test_lockstep_matches_reference_restart_loop(m, k, tp, count):
+    for i in range(count):
+        cfg = SimConfig(num_aps=m, num_ues=k, num_pilots=tp, seed=300 + i)
+        feats = generate_realization(cfg, i).ue_positions
+        assert repulsive_heuristic(feats, tp, seed=i).p.tolist() == \
+            repulsive_restarts(feats, tp, i).tolist()
+        assert_matches_single_starts(feats, random_starts(k, tp, 50 * i), tp)
+
+
+@given(num_ues=st.integers(2, 16), num_pilots=st.integers(1, 16), seed=st.integers(0, 999))
+@settings(max_examples=100, deadline=None)
+def test_lockstep_matches_reference_on_lattice_ties(num_ues, num_pilots, seed):
+    # Integer points on a small grid give many exactly equal distances and
+    # gains, so the first-improvement order decides most swaps.
+    num_pilots = min(num_pilots, num_ues)
+    feats = np.random.default_rng(seed).integers(0, 4, size=(num_ues, 2)).astype(float)
+    assert_matches_single_starts(feats, random_starts(num_ues, num_pilots, seed), num_pilots)
+
+
+@pytest.mark.parametrize("k,tp", [(12, 3), (13, 3)])
+def test_lockstep_identical_points_never_swap(k, tp):
+    starts = random_starts(k, tp, 9)
+    out = assert_matches_single_starts(np.zeros((k, 2)), starts, tp)
+    assert np.array_equal(out, starts)
+
+
+def test_lockstep_keeps_a_start_that_is_already_optimal():
+    feats = np.random.default_rng(3).uniform(0, 1000, size=(40, 2))
+    starts = random_starts(40, 10, 70)
+    optimum = local_search(pairwise_distance(feats), starts[0].copy(), 10)
+    starts[3] = optimum
+    out = assert_matches_single_starts(feats, starts, 10)
+    assert np.array_equal(out[3], optimum)
+    assert not np.array_equal(out[0], random_starts(40, 10, 70)[0])
 
 
 def test_heuristic_singleton_clusters_no_swaps():
