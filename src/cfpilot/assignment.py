@@ -29,6 +29,7 @@ from .topology import NetworkRealization, pilot_snr, uplink_snr
 
 # Strict-improvement margin for accepting a swap; guards against float cycling.
 SWAP_TOLERANCE = 1e-12
+# Search key of an entry that holds no improving swap.
 _NO_SWAP = np.iinfo(np.uint64).max
 # Independent local-search starts for the repulsive heuristic; single starts
 # land in sub-optimal 1-swap local optima on roughly a third of instances.

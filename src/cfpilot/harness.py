@@ -66,7 +66,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
     ``BudgetExceededError``. ``ConfigError`` is raised for a UE whose summed
     estimate quality squared under- or overflows, which leaves its SINR
     undefined; for a max-min problem whose coupling or noise floor is not
-    finite and positive; and for a positive SINR whose throughput rounds to 0.
+    finite and positive; and for a UE whose throughput is 0, whether its
+    SINR is 0 (max-min left it no power) or positive and rounds to 0.
     """
     sim = cfg.sim
     rho_p = pilot_snr(sim)
