@@ -7,7 +7,7 @@ Strategies, by registered name:
   pilot; may leave the partition unbalanced.
 * ``repulsive``: swap-based local search that maximizes within-cluster
   dissimilarity under balanced cluster sizes.
-* ``optimal-repulsive``: exact maximizer of the same objective by enumerating
+* ``optimal-repulsive``: exact maximizer of the same objective by screening
   every balanced partition (small instances only).
 * ``exhaustive``: exact sum-rate maximizer over every assignment, balanced or
   not (small instances only).
@@ -17,6 +17,7 @@ Strategies, by registered name:
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 from numpy.random import default_rng
@@ -27,7 +28,10 @@ from .errors import BudgetExceededError, ConfigError
 from .rate_model import uplink_sinr
 from .topology import NetworkRealization, pilot_snr, uplink_snr
 
-# Strict-improvement margin for accepting a swap; guards against float cycling.
+# Strict-improvement margin for accepting a swap, relative to the largest
+# dissimilarity: the rounding noise of a gain grows with the distances, and a
+# swap whose exact gain is 0 must read below the margin both ways, or the
+# search cycles.
 SWAP_TOLERANCE = 1e-12
 # Search key of an entry that holds no improving swap.
 _NO_SWAP = np.iinfo(np.uint64).max
@@ -37,9 +41,10 @@ RESTARTS = 8
 # Guards for the exact searches.
 OPTIMAL_REPULSIVE_MAX_UES = 12
 EXHAUSTIVE_BUDGET = 2_000_000
-_ENUM_CHUNK = 1 << 17
 _TABLE_CHUNK = 1 << 13
-_PARTITION_CHUNK = 1 << 13
+# Relative margin below the screened maximum inside which the exact searches
+# re-score a partition; screen and exact score differ by a few ulps at most.
+_SCREEN_MARGIN = 1e-9
 
 
 def group_size_bounds(num_ues, num_clusters):
@@ -151,6 +156,7 @@ def _lockstep_search(scores, starts, num_pilots):
     columns = np.zeros((k + 1, k))
     columns[:k] = scores.T
     twice = 2.0 * scores
+    tolerance = SWAP_TOLERANCE * scores.max()
     square = k * k
     ue = np.arange(k)
     # Work arrays for the live starts; rows of finished starts are dropped.
@@ -177,7 +183,7 @@ def _lockstep_search(scores, starts, num_pilots):
         gain -= own[:, None, :]
         gain -= twice
         # idle[r, u, w]: swapping u and w does not improve, or u's cluster is not below w's.
-        np.greater(gain, SWAP_TOLERANCE, out=idle)
+        np.greater(gain, tolerance, out=idle)
         idle &= np.less(labels[:, :, None], labels[:, None, :], out=ordered[:n])
         np.logical_not(idle, out=idle)
         # key = (pair code - code) * K^2 + u * K + w, modulo 2^64: the smallest
@@ -242,66 +248,90 @@ def repulsive_heuristic(features, num_pilots, seed=0) -> PilotAssignment:
     return PilotAssignment(best_labels)
 
 
-def _balanced_partitions(num_ues, capacities):
-    """Yield canonical label vectors of every partition with the given sizes.
-
-    Clusters are opened in first-touched order (so labels are canonical:
-    cluster i appears before cluster j for i < j), and empty clusters of
-    equal capacity are interchangeable, which removes label symmetry.
-    """
-    labels = np.zeros(num_ues, dtype=int)
-    counts = []
-    caps = []
-    remaining = sorted(capacities, reverse=True)
-
-    def place(ue):
-        if ue == num_ues:
-            yield labels
-            return
-        for idx in range(len(caps)):
-            if counts[idx] < caps[idx]:
-                counts[idx] += 1
-                labels[ue] = idx
-                yield from place(ue + 1)
-                counts[idx] -= 1
-        seen = set()
-        for pos, cap in enumerate(remaining):
-            if cap == 0 or cap in seen:
-                continue
-            seen.add(cap)
-            caps.append(cap)
-            counts.append(1)
-            del remaining[pos]
-            labels[ue] = len(caps) - 1
-            yield from place(ue + 1)
-            remaining.insert(pos, cap)
-            caps.pop()
-            counts.pop()
-
-    yield from place(0)
-
-
 @functools.lru_cache(maxsize=None)
-def _partition_table(num_ues, capacities):
-    """Every canonical balanced partition as one read-only int8 row, in enumeration order.
+def _partition_masks(num_ues, num_groups, low, extra):
+    """Every partition of the UEs into at most ``num_groups`` groups, one bitmask per group.
 
-    Filled on first use per (K, capacities); the K <= 12 guard bounds the key
-    set, and the twelve K = 12 tables together take 3.6 MB.
+    Rows are restricted-growth label strings: UE 0 opens group 0, and each
+    later UE joins an open group or opens the next one, so each partition
+    appears once and group j's mask is column j (0 while unopened). A group
+    of ``low`` members takes one more only while fewer than ``extra`` groups
+    hold ``low + 1``; no group grows past that. With ``num_groups`` groups of
+    at least one member each, the rows are then exactly the partitions with
+    ``extra`` groups of ``low + 1`` and the rest of ``low``, and no partial
+    row is a dead end. Masks take the smallest integer dtype that holds K
+    bits (int16 up to K = 15). Group sizes are read from a 2^K popcount
+    table, so the masks are the only rows kept, and each UE's rows are
+    written once into an array of their exact count: the build's transient
+    stays near 3x the finished table. Filled on first use per key (the
+    exact searches' guards bound the keys) and read-only.
     """
-    rows = np.fromiter(_balanced_partitions(num_ues, capacities),
-                       dtype=np.dtype((np.int8, num_ues)))
-    rows.flags.writeable = False
-    return rows
+    dtype = np.int16 if num_ues <= 15 else np.int32 if num_ues <= 31 else np.int64
+    members = np.zeros(1 << num_ues, dtype=np.int8)     # members[mask]: set bits of mask
+    for ue in range(num_ues):
+        members[1 << ue:2 << ue] = members[:1 << ue] + 1
+    masks = np.zeros((1, num_groups), dtype=dtype)
+    masks[0, 0] = 1
+    for ue in range(1, num_ues):
+        sizes = members[masks]
+        opened = np.count_nonzero(sizes, axis=1)
+        may_top = np.count_nonzero(sizes > low, axis=1) < extra
+        takes = [((j < opened) & ((sizes[:, j] < low) | ((sizes[:, j] == low) & may_top)))
+                 | (j == opened) for j in range(num_groups)]
+        del sizes
+        grown = np.empty((sum(map(np.count_nonzero, takes)), num_groups), dtype=dtype)
+        stop = 0
+        for j, take in enumerate(takes):
+            rows = np.flatnonzero(take)
+            grown[stop:stop + rows.size] = masks[rows]
+            grown[stop:stop + rows.size, j] |= 1 << ue
+            stop += rows.size
+        masks = grown
+    masks.flags.writeable = False
+    return masks
+
+
+def _mask_labels(masks, num_ues):
+    """Label vector of each row of group bitmasks: UE u takes the column whose mask holds bit u."""
+    bits = (masks[..., None] >> np.arange(num_ues, dtype=masks.dtype)) & 1
+    return bits.argmax(axis=-2)
+
+
+def _near_maximal(masks, group_value):
+    """Rows of ``masks`` whose summed group values lie within ``_SCREEN_MARGIN`` of the largest.
+
+    Every group value is >= 0, so each row's screened sum is within a few
+    ulps of its sum in any other order; every row whose exact score is
+    maximal is kept.
+    """
+    screen = np.take(group_value, masks[:, 0])
+    for column in range(1, masks.shape[1]):
+        screen += np.take(group_value, masks[:, column])
+    return masks[screen >= screen.max() * (1.0 - _SCREEN_MARGIN)]
+
+
+def _lexicographic_first(labels, num_pilots):
+    """The lexicographically smallest row of ``labels`` (UE 0 most significant)."""
+    codes = labels @ num_pilots ** np.arange(labels.shape[1] - 1, -1, -1, dtype=np.int64)
+    return labels[np.argmin(codes)]
+
+
+def _subset_dissimilarity(scores):
+    """Within-group dissimilarity of every UE subset, indexed by member bitmask."""
+    k = scores.shape[0]
+    member = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+    return ((member @ scores) * member).sum(axis=1) / 2.0
 
 
 def optimal_repulsive(features, num_pilots) -> PilotAssignment:
-    """Exact maximally diverse balanced partition by full enumeration.
+    """Exact maximally diverse balanced partition.
 
     Guarded to ``OPTIMAL_REPULSIVE_MAX_UES`` UEs; ties are broken toward the
-    lexicographically smallest canonical label vector. Partitions are scored
-    in chunks, each row with the same flattened K*K product and contiguous
-    sum as :func:`cluster_objective`, so every score equals its value bit
-    for bit.
+    lexicographically smallest canonical label vector. Every balanced
+    partition is screened by the sum of its groups' dissimilarities, and
+    only the near-maximal ones are scored exactly, each with the same
+    flattened K*K product and contiguous sum as :func:`cluster_objective`,
+    so every exact score equals its value bit for bit.
     """
     scores = pairwise_distance(features)
     k = scores.shape[0]
@@ -311,17 +341,12 @@ def optimal_repulsive(features, num_pilots) -> PilotAssignment:
             guard="optimal-repulsive enumeration")
     _check_fillable(k, num_pilots)
     low, _ = group_size_bounds(k, num_pilots)
-    capacities = (low + 1,) * (k % num_pilots) + (low,) * (num_pilots - k % num_pilots)
-    rows = _partition_table(k, capacities)
-    flat = scores.ravel()
-    objective = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], _PARTITION_CHUNK):
-        chunk = rows[start:start + _PARTITION_CHUNK]
-        same = (chunk[:, :, None] == chunk[:, None, :]).reshape(chunk.shape[0], k * k)
-        objective[start:start + chunk.shape[0]] = (flat * same).sum(axis=1) / 2.0
-    tied = rows[objective == objective.max()]
-    codes = tied @ num_pilots ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return PilotAssignment(tied[np.argmin(codes)].astype(int))
+    candidates = _near_maximal(_partition_masks(k, num_pilots, low, k % num_pilots),
+                               _subset_dissimilarity(scores))
+    labels = _mask_labels(candidates, k)
+    same = (labels[:, :, None] == labels[:, None, :]).reshape(labels.shape[0], k * k)
+    objective = (scores.ravel() * same).sum(axis=1) / 2.0
+    return PilotAssignment(_lexicographic_first(labels[objective == objective.max()], num_pilots))
 
 
 def _group_rate_table(beta, num_pilots, rho_p, rho_u):
@@ -330,55 +355,46 @@ def _group_rate_table(beta, num_pilots, rho_p, rho_u):
     At full power a UE's SINR depends only on the set of UEs sharing its
     pilot, so the sum rate of any assignment is the sum of this table over
     its groups. Index: bitmask of group members. Cost O(2^K * M * K^2).
+    Out-of-range gains leave entries that are not finite, without a warning.
     """
     m, k = beta.shape
     train = num_pilots * rho_p
-    beta_sq = beta ** 2
-    total_gain = beta.sum(axis=1)                     # per-AP gain over all UEs
     table = np.zeros(1 << k)
     bits = np.arange(k)
-    for start in range(0, 1 << k, _TABLE_CHUNK):
-        codes = np.arange(start, min(start + _TABLE_CHUNK, 1 << k), dtype=np.int64)
-        member = ((codes[:, None] >> bits) & 1).astype(float)       # (C, K)
-        load = member @ beta.T                                      # (C, M)
-        damp = 1.0 / (train * load + 1.0)
-        totals = train * (damp @ beta_sq)                           # (C, K) sum_m gamma
-        cross = train * (damp @ (beta_sq * total_gain[:, None]))    # (C, K)
-        pair = train * np.einsum("cm,mk,ml->ckl", damp, beta, beta, optimize=True)
-        pair_sq = pair ** 2
-        copilot = np.einsum("ckl,cl->ck", pair_sq, member)
-        copilot -= np.einsum("ckk->ck", pair_sq)
-        # copilot/denominator are only meaningful for UEs inside the subset.
-        denom = rho_u * copilot + rho_u * cross + totals
-        sinr = np.where(member > 0, rho_u * totals ** 2 / np.where(denom > 0, denom, 1.0), 0.0)
-        table[codes] = np.log2(1.0 + sinr).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta_sq = beta ** 2
+        total_gain = beta.sum(axis=1)                 # per-AP gain over all UEs
+        for start in range(0, 1 << k, _TABLE_CHUNK):
+            codes = np.arange(start, min(start + _TABLE_CHUNK, 1 << k), dtype=np.int64)
+            member = ((codes[:, None] >> bits) & 1).astype(float)       # (C, K)
+            load = member @ beta.T                                      # (C, M)
+            damp = 1.0 / (train * load + 1.0)
+            totals = train * (damp @ beta_sq)                           # (C, K) sum_m gamma
+            cross = train * (damp @ (beta_sq * total_gain[:, None]))    # (C, K)
+            pair = np.einsum("cm,mk,ml->ckl", damp, beta, beta, optimize=True)
+            pair *= train
+            np.square(pair, out=pair)
+            copilot = np.einsum("ckl,cl->ck", pair, member)
+            copilot -= np.einsum("ckk->ck", pair)
+            # copilot/denominator are only meaningful for UEs inside the subset.
+            denom = rho_u * copilot + rho_u * cross + totals
+            sinr = np.where(member > 0, rho_u * totals ** 2 / np.where(denom > 0, denom, 1.0), 0.0)
+            table[codes] = np.log2(1.0 + sinr).sum(axis=1)
     return table
-
-
-def _digit_masks(num_pilots, ues):
-    """Member bitmask of each pilot for every digit string over ``ues``.
-
-    Entry ``[p, c]`` sets bit ``u`` for each UE ``u`` whose digit in code
-    ``c`` is ``p``; the first UE is the most significant digit.
-    """
-    n = ues.size
-    codes = np.arange(num_pilots ** n, dtype=np.int64)
-    digits = (codes[:, None] // num_pilots ** np.arange(n - 1, -1, -1, dtype=np.int64)) % num_pilots
-    bits = np.int64(1) << ues.astype(np.int64)
-    return np.stack([((digits == p) * bits).sum(axis=1) for p in range(num_pilots)])
 
 
 def exhaustive_sum_rate(realization: NetworkRealization, cfg: SimConfig) -> PilotAssignment:
     """Exact full-power sum-rate maximizer over every pilot assignment.
 
-    Enumerates all ``num_pilots ** K`` assignments (no balance constraint) in
-    lexicographic order and returns the first maximizer, so ties break toward
-    the lexicographically smallest assignment. Guarded by
-    ``EXHAUSTIVE_BUDGET`` total assignments. Each pilot's member bitmask is
-    the OR of two precomputed half-width masks, one for the leading and one
-    for the trailing UEs, and the group rates are added in pilot order.
+    The maximum over all ``num_pilots ** K`` assignments (no balance
+    constraint), each scored as 0.0 plus its group rates in pilot order;
+    ties break toward the lexicographically smallest assignment. Guarded by
+    ``EXHAUSTIVE_BUDGET`` total assignments. An empty pilot adds exactly
+    0.0, so an assignment's score is the sum of its groups in the order of
+    their pilots: each partition into at most ``num_pilots`` groups is
+    screened by its summed group rates, and each near-maximal one is scored
+    in every order of its groups, the i-th group on pilot i.
     """
-    beta = realization.beta
     k = realization.num_ues
     num_pilots = cfg.num_pilots
     total = num_pilots ** k
@@ -388,27 +404,25 @@ def exhaustive_sum_rate(realization: NetworkRealization, cfg: SimConfig) -> Pilo
             guard="exhaustive enumeration")
     if num_pilots == 1:
         return PilotAssignment(np.zeros(k, dtype=int))
-    table = _group_rate_table(beta, num_pilots, pilot_snr(cfg), uplink_snr(cfg))
-    # code = lead * num_pilots**low + tail, so row-major (lead, tail) order is code order.
-    low = k // 2
-    lead = _digit_masks(num_pilots, np.arange(k - low))
-    tail = _digit_masks(num_pilots, np.arange(k - low, k))
-    width = tail.shape[1]
-    rows_per_block = max(1, _ENUM_CHUNK // width)
-    best_score = -np.inf
-    best_code = 0
-    for start in range(0, lead.shape[1], rows_per_block):
-        stop = min(start + rows_per_block, lead.shape[1])
-        scores = np.zeros((stop - start, width))
-        for pilot in range(num_pilots):
-            scores += table[lead[pilot, start:stop, None] | tail[pilot]]
-        idx = int(np.argmax(scores))
-        if scores.flat[idx] > best_score:
-            best_score = scores.flat[idx]
-            best_code = start * width + idx
-    weights = num_pilots ** np.arange(k - 1, -1, -1, dtype=np.int64)  # p[0] most significant
-    labels = (best_code // weights) % num_pilots
-    return PilotAssignment(labels.astype(int))
+    table = _group_rate_table(realization.beta, num_pilots, pilot_snr(cfg), uplink_snr(cfg))
+    if not np.isfinite(table).all():
+        raise ConfigError(
+            f"exhaustive: the full-power group rates under- or overflow "
+            f"(uplink_tx_power = {cfg.uplink_tx_power:g} W, pilot_tx_power = "
+            f"{cfg.pilot_tx_power:g} W, shadowing_sigma = {cfg.shadowing_sigma:g} dB)")
+    candidates = _near_maximal(_partition_masks(k, min(num_pilots, k), k, 0), table)
+    used = np.count_nonzero(candidates, axis=1)
+    scored = []                     # (scores, member masks in pilot order) per group count
+    for groups in np.unique(used):
+        orders = list(itertools.permutations(range(groups)))
+        by_pilot = candidates[used == groups, :groups][:, orders].reshape(-1, groups)
+        score = np.zeros(by_pilot.shape[0])
+        for pilot in range(groups):
+            score += table[by_pilot[:, pilot]]
+        scored.append((score, by_pilot))
+    best = max(score.max() for score, _ in scored)
+    tied = np.concatenate([_mask_labels(by_pilot[score == best], k) for score, by_pilot in scored])
+    return PilotAssignment(_lexicographic_first(tied, num_pilots))
 
 
 def oracle_assignment(num_ues) -> PilotAssignment:

@@ -1,10 +1,17 @@
 """Independent reference computations that several test modules compare against."""
 
+import functools
+
 import numpy as np
 from numpy.random import default_rng
 
-from cfpilot.assignment import RESTARTS, SWAP_TOLERANCE, cluster_objective, pairwise_distance
+from cfpilot.assignment import (RESTARTS, SWAP_TOLERANCE, _group_rate_table, cluster_objective,
+                                group_size_bounds, pairwise_distance)
 from cfpilot.rate_model import uplink_sinr
+from cfpilot.topology import pilot_snr, uplink_snr
+
+_ENUM_CHUNK = 1 << 17
+_PARTITION_CHUNK = 1 << 13
 
 
 def swap_gain(scores, labels, u, w):
@@ -39,6 +46,7 @@ def local_search(scores, labels, num_pilots):
     k = labels.size
     rows = np.arange(k)
     twice = 2.0 * scores
+    tolerance = SWAP_TOLERANCE * scores.max()
     sums = np.empty((k, num_pilots))
     for cluster in range(num_pilots):
         sums[:, cluster] = cluster_sums(scores, labels, cluster)
@@ -48,7 +56,7 @@ def local_search(scores, labels, num_pilots):
         toward = sums[:, labels]       # toward[i, j]: UE i's sum over j's cluster
         own = toward[rows, rows]
         gains = toward.T - own[:, None] + toward - own[None, :] - twice
-        u, w = np.nonzero((gains > SWAP_TOLERANCE) & (labels[:, None] < labels[None, :]))
+        u, w = np.nonzero((gains > tolerance) & (labels[:, None] < labels[None, :]))
         codes = labels[u] * num_pilots + labels[w]
         ahead = np.flatnonzero(codes >= start)
         if ahead.size == 0:
@@ -80,3 +88,121 @@ def repulsive_restarts(features, num_pilots, seed):
             best_score = score
             best_labels = labels
     return best_labels
+
+
+def balanced_partitions(num_ues, capacities):
+    """Yield canonical label vectors of every partition with the given sizes.
+
+    Clusters are opened in first-touched order (so labels are canonical:
+    cluster i appears before cluster j for i < j), and empty clusters of
+    equal capacity are interchangeable, which removes label symmetry.
+    """
+    labels = np.zeros(num_ues, dtype=int)
+    counts = []
+    caps = []
+    remaining = sorted(capacities, reverse=True)
+
+    def place(ue):
+        if ue == num_ues:
+            yield labels
+            return
+        for idx in range(len(caps)):
+            if counts[idx] < caps[idx]:
+                counts[idx] += 1
+                labels[ue] = idx
+                yield from place(ue + 1)
+                counts[idx] -= 1
+        seen = set()
+        for pos, cap in enumerate(remaining):
+            if cap == 0 or cap in seen:
+                continue
+            seen.add(cap)
+            caps.append(cap)
+            counts.append(1)
+            del remaining[pos]
+            labels[ue] = len(caps) - 1
+            yield from place(ue + 1)
+            remaining.insert(pos, cap)
+            caps.pop()
+            counts.pop()
+
+    yield from place(0)
+
+
+@functools.lru_cache(maxsize=None)
+def partition_table(num_ues, capacities):
+    """Every canonical balanced partition as one read-only int8 row, in enumeration order."""
+    rows = np.fromiter(balanced_partitions(num_ues, capacities),
+                       dtype=np.dtype((np.int8, num_ues)))
+    rows.flags.writeable = False
+    return rows
+
+
+def optimal_repulsive_labels(features, num_pilots):
+    """Exact diversity optimum by scoring every balanced partition in enumeration order.
+
+    Each row is scored with the flattened K*K product and contiguous sum of
+    ``cluster_objective``; among exact maxima the lexicographically smallest
+    canonical label vector wins.
+    """
+    scores = pairwise_distance(features)
+    k = scores.shape[0]
+    low, _ = group_size_bounds(k, num_pilots)
+    capacities = (low + 1,) * (k % num_pilots) + (low,) * (num_pilots - k % num_pilots)
+    rows = partition_table(k, capacities)
+    flat = scores.ravel()
+    objective = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _PARTITION_CHUNK):
+        chunk = rows[start:start + _PARTITION_CHUNK]
+        same = (chunk[:, :, None] == chunk[:, None, :]).reshape(chunk.shape[0], k * k)
+        objective[start:start + chunk.shape[0]] = (flat * same).sum(axis=1) / 2.0
+    tied = rows[objective == objective.max()]
+    codes = tied @ num_pilots ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return tied[np.argmin(codes)].astype(int)
+
+
+def digit_masks(num_pilots, ues):
+    """Member bitmask of each pilot for every digit string over ``ues``.
+
+    Entry ``[p, c]`` sets bit ``u`` for each UE ``u`` whose digit in code
+    ``c`` is ``p``; the first UE is the most significant digit.
+    """
+    n = ues.size
+    codes = np.arange(num_pilots ** n, dtype=np.int64)
+    digits = (codes[:, None] // num_pilots ** np.arange(n - 1, -1, -1, dtype=np.int64)) % num_pilots
+    bits = np.int64(1) << ues.astype(np.int64)
+    return np.stack([((digits == p) * bits).sum(axis=1) for p in range(num_pilots)])
+
+
+def exhaustive_labels(realization, cfg):
+    """Exact full-power sum-rate optimum by scoring all ``num_pilots ** K`` assignments.
+
+    Assignments are taken in lexicographic order and each is scored as 0.0
+    plus its group rates in pilot order; the first maximizer wins. Each
+    pilot's member bitmask is the OR of two half-width masks, one for the
+    leading and one for the trailing UEs.
+    """
+    k = realization.num_ues
+    num_pilots = cfg.num_pilots
+    if num_pilots == 1:
+        return np.zeros(k, dtype=int)
+    table = _group_rate_table(realization.beta, num_pilots, pilot_snr(cfg), uplink_snr(cfg))
+    # code = lead * num_pilots**low + tail, so row-major (lead, tail) order is code order.
+    low = k // 2
+    lead = digit_masks(num_pilots, np.arange(k - low))
+    tail = digit_masks(num_pilots, np.arange(k - low, k))
+    width = tail.shape[1]
+    rows_per_block = max(1, _ENUM_CHUNK // width)
+    best_score = -np.inf
+    best_code = 0
+    for start in range(0, lead.shape[1], rows_per_block):
+        stop = min(start + rows_per_block, lead.shape[1])
+        scores = np.zeros((stop - start, width))
+        for pilot in range(num_pilots):
+            scores += table[lead[pilot, start:stop, None] | tail[pilot]]
+        idx = int(np.argmax(scores))
+        if scores.flat[idx] > best_score:
+            best_score = scores.flat[idx]
+            best_code = start * width + idx
+    weights = num_pilots ** np.arange(k - 1, -1, -1, dtype=np.int64)  # p[0] most significant
+    return (best_code // weights) % num_pilots

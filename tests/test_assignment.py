@@ -1,20 +1,25 @@
 import itertools
+import signal
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpilot.assignment import (RESTARTS, _cluster_sums, _lockstep_search, assign, cluster_objective,
-                                exhaustive_sum_rate, greedy_assignment, group_size_bounds,
-                                optimal_repulsive, oracle_assignment, pairwise_distance,
-                                random_assignment, repulsive_heuristic)
+from cfpilot.assignment import (RESTARTS, _cluster_sums, _lockstep_search, _mask_labels,
+                                _partition_masks, assign, cluster_objective, exhaustive_sum_rate,
+                                greedy_assignment, group_size_bounds, optimal_repulsive,
+                                oracle_assignment, pairwise_distance, random_assignment,
+                                repulsive_heuristic)
 from cfpilot.chanest import PilotAssignment, estimation_quality
 from cfpilot.config import SimConfig
 from cfpilot.errors import BudgetExceededError
 from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
-from reference import cluster_sums, local_search, repulsive_restarts, sum_rate, swap_gain
+from reference import (balanced_partitions, cluster_sums, exhaustive_labels, local_search,
+                       optimal_repulsive_labels, repulsive_restarts, sum_rate, swap_gain)
 
 LINE = np.array([0.0, 1.0, 10.0, 11.0])
 
@@ -190,6 +195,31 @@ def test_lockstep_keeps_a_start_that_is_already_optimal():
     assert not np.array_equal(out[0], starts[0])
 
 
+@contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in the main thread if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("k,seed", [(24, 7), (27, 17)])
+def test_lattice_ties_at_kilometre_scale_terminate(k, seed):
+    # Exactly tied gains whose rounding noise exceeds an absolute 1e-12: with
+    # an unscaled tolerance a start swaps two UEs and swaps them back forever.
+    feats = 1000.0 * np.random.default_rng(seed).integers(0, 5, size=(k, 2)).astype(float)
+    with alarm(3):
+        out = repulsive_heuristic(feats, 3, seed=seed)
+        assert out.p.tolist() == repulsive_restarts(feats, 3, seed).tolist()
+    assert_balanced(out.p, 3)
+
+
 def test_heuristic_singleton_clusters_no_swaps():
     feats = np.array([[0.0, 0.0], [5.0, 0.0], [9.0, 2.0]])
     out = repulsive_heuristic(feats, 3, seed=0)
@@ -263,6 +293,57 @@ def test_optimal_budget_guard():
         optimal_repulsive(np.zeros((13, 2)), 3)
 
 
+def test_partition_masks_list_each_partition_once():
+    # Exhaustive rows: every restricted-growth string with at most tau_p groups.
+    for k, groups in [(6, 3), (5, 5), (7, 2), (4, 6)]:
+        masks = _partition_masks(k, min(groups, k), k, 0)
+        assert masks.dtype == np.int16
+        strings = {labels for labels in itertools.product(range(groups), repeat=k)
+                   if all(labels[u] <= max(labels[:u], default=-1) + 1 for u in range(k))}
+        assert {tuple(row) for row in _mask_labels(masks, k).tolist()} == strings
+        assert len(strings) == masks.shape[0]
+    # Balanced rows: the reference enumeration's canonical partitions.
+    for k, tp in [(12, 3), (11, 3), (10, 4), (7, 7), (12, 5)]:
+        low = k // tp
+        masks = _partition_masks(k, tp, low, k % tp)
+        capacities = (low + 1,) * (k % tp) + (low,) * (tp - k % tp)
+        reference = {tuple(labels) for labels in balanced_partitions(k, capacities)}
+        assert {tuple(row) for row in _mask_labels(masks, k).tolist()} == reference
+        assert len(reference) == masks.shape[0]
+
+
+@pytest.mark.parametrize("m,k,tp,count", [
+    (50, 12, 3, 12),
+    (50, 12, 2, 4),
+    (50, 12, 4, 4),
+    (60, 12, 5, 2),
+    (50, 11, 3, 6),   # unequal cluster sizes: 4, 4, 3
+    (30, 10, 4, 6),   # unequal cluster sizes: 3, 3, 2, 2
+    (20, 3, 3, 5),    # one UE per pilot
+    (20, 6, 6, 3),
+])
+def test_optimal_repulsive_matches_reference(m, k, tp, count):
+    for i in range(count):
+        cfg = SimConfig(num_aps=m, num_ues=k, num_pilots=tp, seed=700 + i)
+        feats = generate_realization(cfg, i).ue_positions
+        assert optimal_repulsive(feats, tp).p.tolist() == optimal_repulsive_labels(feats, tp).tolist()
+
+
+@pytest.mark.parametrize("k,tp", [(12, 3), (11, 4), (8, 2)])
+def test_optimal_repulsive_identical_points_match_reference(k, tp):
+    # Every objective is 0, so every partition is an exact maximum.
+    feats = np.zeros((k, 2))
+    out = optimal_repulsive(feats, tp).p.tolist()
+    assert out == optimal_repulsive_labels(feats, tp).tolist() == sorted(u % tp for u in range(k))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k,tp", [(12, 3), (12, 4), (10, 3)])
+def test_optimal_repulsive_lattice_ties_match_reference(seed, k, tp):
+    feats = np.random.default_rng(seed).integers(0, 3, size=(k, 2)).astype(float)
+    assert optimal_repulsive(feats, tp).p.tolist() == optimal_repulsive_labels(feats, tp).tolist()
+
+
 def test_heuristic_tracks_optimal():
     equal = 0
     ratios = []
@@ -319,6 +400,47 @@ def test_exhaustive_at_least_heuristic():
         return sum_rate(real.beta, gamma, p, np.ones(6), rho_u)
 
     assert value(exhaustive_sum_rate(real, cfg)) >= value(repulsive_heuristic(real.ue_positions, 2, seed=0)) - 1e-9
+
+
+@pytest.mark.parametrize("m,k,tp,count", [
+    (50, 12, 3, 12),
+    (20, 13, 3, 1),   # unequal group sizes, 1,594,323 assignments
+    (20, 10, 2, 4),
+    (30, 8, 4, 4),
+    (10, 7, 5, 3),
+    (10, 3, 3, 5),    # K = tau_p
+    (10, 5, 5, 3),
+    (10, 2, 3, 5),    # fewer UEs than pilots
+    (10, 4, 6, 3),
+])
+def test_exhaustive_matches_reference(m, k, tp, count):
+    for i in range(count):
+        cfg = SimConfig(num_aps=m, num_ues=k, num_pilots=tp, seed=800 + i)
+        real = generate_realization(cfg, i)
+        assert exhaustive_sum_rate(real, cfg).p.tolist() == exhaustive_labels(real, cfg).tolist()
+
+
+@pytest.mark.parametrize("m,k,tp,seed,labels", [
+    (4, 5, 3, 11, [0, 1, 0, 0, 1]),
+    (2, 4, 4, 7, [0, 1, 2, 0]),
+    (3, 3, 2, 7, [0, 0, 0]),
+])
+def test_exhaustive_maximum_leaving_pilots_unused_matches_reference(m, k, tp, seed, labels):
+    cfg = SimConfig(num_aps=m, num_ues=k, num_pilots=tp, seed=seed)
+    real = generate_realization(cfg, 0)
+    assert exhaustive_sum_rate(real, cfg).p.tolist() == exhaustive_labels(real, cfg).tolist() == labels
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_exhaustive_duplicate_gain_ties_match_reference(index):
+    # UEs 6..11 copy the gains of UEs 0..5, so several assignments share the
+    # maximal sum rate exactly.
+    cfg = SimConfig(num_aps=50, num_ues=12, num_pilots=3, seed=2022)
+    real = generate_realization(cfg, index)
+    beta = real.beta.copy()
+    beta[:, 6:] = beta[:, :6]
+    real = replace(real, beta=beta)
+    assert exhaustive_sum_rate(real, cfg).p.tolist() == exhaustive_labels(real, cfg).tolist()
 
 
 def test_exhaustive_budget_guard():

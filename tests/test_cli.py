@@ -231,6 +231,23 @@ def test_out_of_range_estimate_quality_is_config_error_without_warnings(tmp_path
     assert not out.exists()
 
 
+def test_non_finite_group_rate_table_is_config_error_without_warnings(tmp_path, capsys):
+    # The exhaustive search's group-rate table holds NaN and inf entries here.
+    text = BASE.replace("num_aps = 6", "num_aps = 50").replace("num_ues = 4", "num_ues = 12")
+    text = text.replace("num_pilots = 2", "num_pilots = 3").replace("seed = 11", "seed = 1")
+    text = text.replace("strategies = random, oracle",
+                        "strategies = exhaustive, optimal-repulsive, random")
+    cfg = write_config(tmp_path, text + "shadowing_sigma = 600\n")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "group rates" in err
+    assert all(name in err for name in ("uplink_tx_power", "pilot_tx_power", "shadowing_sigma"))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy", ["maxmin", "full"])
 def test_throughput_rounding_to_zero_is_config_error(tmp_path, capsys, policy):
     text = BASE.replace("power_policy = maxmin", f"power_policy = {policy}")
