@@ -361,7 +361,7 @@ def _group_rate_table(beta, num_pilots, rho_p, rho_u):
     train = num_pilots * rho_p
     table = np.zeros(1 << k)
     bits = np.arange(k)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         beta_sq = beta ** 2
         total_gain = beta.sum(axis=1)                 # per-AP gain over all UEs
         for start in range(0, 1 << k, _TABLE_CHUNK):
