@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import default_rng
@@ -41,7 +42,11 @@ RESTARTS = 8
 # Guards for the exact searches.
 OPTIMAL_REPULSIVE_MAX_UES = 12
 EXHAUSTIVE_BUDGET = 2_000_000
-_TABLE_CHUNK = 1 << 13
+# Rows per block of the group-rate table and of the partition screen. A
+# table's entries depend on its chunk size (BLAS blocks a product by its row
+# count), so it stays fixed.
+_CHUNK_BITS = 13
+_TABLE_CHUNK = 1 << _CHUNK_BITS
 # Relative margin below the screened maximum inside which the exact searches
 # re-score a partition; screen and exact score differ by a few ulps at most.
 _SCREEN_MARGIN = 1e-9
@@ -297,17 +302,37 @@ def _mask_labels(masks, num_ues):
     return bits.argmax(axis=-2)
 
 
+@functools.cache
+def _screen_buffers():
+    """Reused work arrays of the partition screen: one block's sums and one column's values."""
+    return np.empty(_TABLE_CHUNK), np.empty(_TABLE_CHUNK)
+
+
 def _near_maximal(masks, group_value):
     """Rows of ``masks`` whose summed group values lie within ``_SCREEN_MARGIN`` of the largest.
 
     Every group value is >= 0, so each row's screened sum is within a few
     ulps of its sum in any other order; every row whose exact score is
-    maximal is kept.
+    maximal is kept. Rows are screened in blocks of ``_TABLE_CHUNK`` into
+    reused buffers. A block keeps its rows within the margin of the largest
+    sum seen so far, which the final maximum can only raise, so the last
+    filter returns the rows, in order, that one pass over all sums would.
     """
-    screen = np.take(group_value, masks[:, 0])
-    for column in range(1, masks.shape[1]):
-        screen += np.take(group_value, masks[:, column])
-    return masks[screen >= screen.max() * (1.0 - _SCREEN_MARGIN)]
+    totals, values = _screen_buffers()
+    kept, sums = [], []
+    largest = -np.inf
+    for start in range(0, masks.shape[0], _TABLE_CHUNK):
+        block = masks[start:start + _TABLE_CHUNK]
+        screen, value = totals[:block.shape[0]], values[:block.shape[0]]
+        np.take(group_value, block[:, 0], out=screen, mode="clip")
+        for column in range(1, masks.shape[1]):
+            screen += np.take(group_value, block[:, column], out=value, mode="clip")
+        largest = max(largest, screen.max())
+        near = np.flatnonzero(screen >= largest * (1.0 - _SCREEN_MARGIN))
+        kept.append(block[near])
+        sums.append(screen[near])
+    sums = np.concatenate(sums)
+    return np.concatenate(kept)[sums >= largest * (1.0 - _SCREEN_MARGIN)]
 
 
 def _lexicographic_first(labels, num_pilots):
@@ -316,11 +341,37 @@ def _lexicographic_first(labels, num_pilots):
     return labels[np.argmin(codes)]
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_members(num_ues):
+    """Membership of UE subsets ``0 .. rows - 1`` as float rows and their ``> 0`` mask.
+
+    ``rows`` is ``min(2^K, _TABLE_CHUNK)``: the first block of the
+    group-rate table, which is every subset up to K = 13. Read-only.
+    """
+    codes = np.arange(min(1 << num_ues, _TABLE_CHUNK))
+    member = ((codes[:, None] >> np.arange(num_ues)) & 1).astype(float)
+    inside = member > 0
+    member.flags.writeable = inside.flags.writeable = False
+    return member, inside
+
+
+@functools.lru_cache(maxsize=1)
+def _dissimilarity_buffer(num_ues):
+    """Reused (2^K, K) work array of :func:`_subset_dissimilarity`."""
+    return np.empty((1 << num_ues, num_ues))
+
+
 def _subset_dissimilarity(scores):
-    """Within-group dissimilarity of every UE subset, indexed by member bitmask."""
-    k = scores.shape[0]
-    member = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
-    return ((member @ scores) * member).sum(axis=1) / 2.0
+    """Within-group dissimilarity of every UE subset, indexed by member bitmask.
+
+    Only for K <= 13, where the cached membership rows are every subset.
+    """
+    member, _ = _subset_members(scores.shape[0])
+    product = np.matmul(member, scores, out=_dissimilarity_buffer(scores.shape[0]))
+    product *= member
+    value = product.sum(axis=1)
+    value /= 2.0
+    return value
 
 
 def optimal_repulsive(features, num_pilots) -> PilotAssignment:
@@ -349,6 +400,29 @@ def optimal_repulsive(features, num_pilots) -> PilotAssignment:
     return PilotAssignment(_lexicographic_first(labels[objective == objective.max()], num_pilots))
 
 
+@functools.lru_cache(maxsize=1)
+def _rate_workspace(rows, num_aps, num_ues):
+    """Reused work arrays of :func:`_group_rate_table` for chunks of ``rows`` subsets.
+
+    Past K = 13 the membership rows are writable copies whose high-bit
+    columns each chunk sets; up to K = 13 they are the cached rows.
+    """
+    member, inside = _subset_members(num_ues)
+    if num_ues > _CHUNK_BITS:
+        member, inside = member.copy(), inside.copy()
+    return SimpleNamespace(
+        member=member, inside=inside,
+        outer=np.empty((num_ues * num_ues, num_aps)),      # [k * K + l, m]: beta_mk * beta_ml
+        pair=np.empty((num_ues * num_ues, rows)),           # [k * K + l, c]
+        damp=np.empty((rows, num_aps)),
+        totals=np.empty((rows, num_ues)),
+        cross=np.empty((rows, num_ues)),
+        denom=np.empty((rows, num_ues)),
+        copilot=np.empty((num_ues, rows)),                  # [k, c]
+        term=np.empty((num_ues, rows)),
+        positive=np.empty((rows, num_ues), dtype=bool))
+
+
 def _group_rate_table(beta, num_pilots, rho_p, rho_u):
     """Sum of per-UE rates inside one co-pilot group, for every UE subset.
 
@@ -356,30 +430,61 @@ def _group_rate_table(beta, num_pilots, rho_p, rho_u):
     pilot, so the sum rate of any assignment is the sum of this table over
     its groups. Index: bitmask of group members. Cost O(2^K * M * K^2).
     Out-of-range gains leave entries that are not finite, without a warning.
+
+    Subsets come in chunks of ``_TABLE_CHUNK``, each computed in place in
+    reused work arrays with the products, operand layouts and summation
+    orders of ``tests/reference.py``'s ``group_rate_table``, so every entry
+    equals its value bit for bit. There the pair product comes from one
+    matrix product laid out ``[k, l, c]``, and each UE's co-pilot sum adds
+    the members' terms in ascending l, one l at a time, as here.
     """
     m, k = beta.shape
     train = num_pilots * rho_p
-    table = np.zeros(1 << k)
-    bits = np.arange(k)
+    table = np.empty(1 << k)
+    rows = min(1 << k, _TABLE_CHUNK)
+    work = _rate_workspace(rows, m, k)
+    member, inside, damp, totals, cross, denom = (
+        work.member, work.inside, work.damp, work.totals, work.cross, work.denom)
+    pair = work.pair.reshape(k, k, rows)
+    copilot, term = work.copilot, work.term
     with np.errstate(all="ignore"):
         beta_sq = beta ** 2
         total_gain = beta.sum(axis=1)                 # per-AP gain over all UEs
-        for start in range(0, 1 << k, _TABLE_CHUNK):
-            codes = np.arange(start, min(start + _TABLE_CHUNK, 1 << k), dtype=np.int64)
-            member = ((codes[:, None] >> bits) & 1).astype(float)       # (C, K)
-            load = member @ beta.T                                      # (C, M)
-            damp = 1.0 / (train * load + 1.0)
-            totals = train * (damp @ beta_sq)                           # (C, K) sum_m gamma
-            cross = train * (damp @ (beta_sq * total_gain[:, None]))    # (C, K)
-            pair = np.einsum("cm,mk,ml->ckl", damp, beta, beta, optimize=True)
-            pair *= train
-            np.square(pair, out=pair)
-            copilot = np.einsum("ckl,cl->ck", pair, member)
-            copilot -= np.einsum("ckk->ck", pair)
+        weighted = beta_sq * total_gain[:, None]
+        np.multiply(beta.T[:, None, :], beta.T[None, :, :], out=work.outer.reshape(k, k, m))
+        for start in range(0, 1 << k, rows):
+            if k > _CHUNK_BITS:                       # high bits are constant within a chunk
+                member[:, _CHUNK_BITS:] = (start >> np.arange(_CHUNK_BITS, k)) & 1
+                np.greater(member[:, _CHUNK_BITS:], 0, out=inside[:, _CHUNK_BITS:])
+            np.matmul(member, beta.T, out=damp)                         # load
+            damp *= train
+            damp += 1.0
+            np.divide(1.0, damp, out=damp)
+            np.matmul(damp, beta_sq, out=totals)
+            totals *= train                                             # sum_m gamma
+            np.matmul(damp, weighted, out=cross)
+            cross *= train
+            np.matmul(work.outer, damp.T, out=work.pair)
+            work.pair *= train
+            np.square(work.pair, out=work.pair)
+            np.multiply(pair[:, 0], member[:, 0], out=copilot)
+            for other in range(1, k):
+                copilot += np.multiply(pair[:, other], member[:, other], out=term)
+            copilot -= pair.diagonal().T
             # copilot/denominator are only meaningful for UEs inside the subset.
-            denom = rho_u * copilot + rho_u * cross + totals
-            sinr = np.where(member > 0, rho_u * totals ** 2 / np.where(denom > 0, denom, 1.0), 0.0)
-            table[codes] = np.log2(1.0 + sinr).sum(axis=1)
+            np.multiply(copilot.T, rho_u, out=denom)
+            cross *= rho_u
+            denom += cross
+            denom += totals
+            np.square(totals, out=totals)
+            totals *= rho_u
+            # A denominator that is not > 0 divides by 1.0, which leaves the numerator as it is.
+            np.divide(totals, denom, out=totals, where=np.greater(denom, 0, out=work.positive))
+            gain = cross                              # 1 + SINR inside the subset, 1 outside
+            gain.fill(1.0)
+            np.add(totals, 1.0, out=gain, where=inside)
+            np.log2(gain, out=gain)
+            np.sum(gain, axis=1, out=table[start:start + rows])
     return table
 
 

@@ -63,13 +63,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
     evaluating every (realization, strategy) alone, in loop order.
 
     Budget guards of the exact strategies propagate as
-    ``BudgetExceededError``. ``ConfigError`` is raised for a UE whose summed
-    estimate quality squared under- or overflows, which leaves its SINR
-    undefined; for a max-min problem whose coupling or noise floor is not
-    finite and positive; and for a UE whose throughput is 0, whether its
+    ``BudgetExceededError``. ``ConfigError`` is raised before the first drop
+    when ``num_pilots`` equals ``coherence_len``: the pilots fill the
+    coherence block, so every throughput is 0. It is raised for a UE whose
+    summed estimate quality squared under- or overflows, which leaves its
+    SINR undefined; for a max-min problem whose coupling or noise floor is
+    not finite and positive; and for a UE whose throughput is 0, whether its
     SINR is 0 (max-min left it no power) or positive and rounds to 0.
     """
     sim = cfg.sim
+    if sim.num_pilots == sim.coherence_len:
+        raise ConfigError(f"num_pilots = {sim.num_pilots} equals coherence_len = "
+                          f"{sim.coherence_len}: no symbol is left for data, so every "
+                          "throughput is 0")
     rho_p = pilot_snr(sim)
     rho_u = uplink_snr(sim)
     per_chunk = max(1, _CHUNK_BYTES // (8 * sim.num_ues ** 2 * len(cfg.strategies)))

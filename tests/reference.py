@@ -5,7 +5,7 @@ import functools
 import numpy as np
 from numpy.random import default_rng
 
-from cfpilot.assignment import (RESTARTS, SWAP_TOLERANCE, _group_rate_table, cluster_objective,
+from cfpilot.assignment import (_TABLE_CHUNK, RESTARTS, SWAP_TOLERANCE, cluster_objective,
                                 group_size_bounds, pairwise_distance)
 from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import pilot_snr, uplink_snr
@@ -174,6 +174,40 @@ def digit_masks(num_pilots, ues):
     return np.stack([((digits == p) * bits).sum(axis=1) for p in range(num_pilots)])
 
 
+def group_rate_table(beta, num_pilots, rho_p, rho_u):
+    """Sum of per-UE rates inside one co-pilot group, for every UE subset.
+
+    At full power a UE's SINR depends only on the set of UEs sharing its
+    pilot, so the sum rate of any assignment is the sum of this table over
+    its groups. Index: bitmask of group members. Cost O(2^K * M * K^2).
+    Out-of-range gains leave entries that are not finite, without a warning.
+    """
+    m, k = beta.shape
+    train = num_pilots * rho_p
+    table = np.zeros(1 << k)
+    bits = np.arange(k)
+    with np.errstate(all="ignore"):
+        beta_sq = beta ** 2
+        total_gain = beta.sum(axis=1)                 # per-AP gain over all UEs
+        for start in range(0, 1 << k, _TABLE_CHUNK):
+            codes = np.arange(start, min(start + _TABLE_CHUNK, 1 << k), dtype=np.int64)
+            member = ((codes[:, None] >> bits) & 1).astype(float)       # (C, K)
+            load = member @ beta.T                                      # (C, M)
+            damp = 1.0 / (train * load + 1.0)
+            totals = train * (damp @ beta_sq)                           # (C, K) sum_m gamma
+            cross = train * (damp @ (beta_sq * total_gain[:, None]))    # (C, K)
+            pair = np.einsum("cm,mk,ml->ckl", damp, beta, beta, optimize=True)
+            pair *= train
+            np.square(pair, out=pair)
+            copilot = np.einsum("ckl,cl->ck", pair, member)
+            copilot -= np.einsum("ckk->ck", pair)
+            # copilot/denominator are only meaningful for UEs inside the subset.
+            denom = rho_u * copilot + rho_u * cross + totals
+            sinr = np.where(member > 0, rho_u * totals ** 2 / np.where(denom > 0, denom, 1.0), 0.0)
+            table[codes] = np.log2(1.0 + sinr).sum(axis=1)
+    return table
+
+
 def exhaustive_labels(realization, cfg):
     """Exact full-power sum-rate optimum by scoring all ``num_pilots ** K`` assignments.
 
@@ -186,7 +220,7 @@ def exhaustive_labels(realization, cfg):
     num_pilots = cfg.num_pilots
     if num_pilots == 1:
         return np.zeros(k, dtype=int)
-    table = _group_rate_table(realization.beta, num_pilots, pilot_snr(cfg), uplink_snr(cfg))
+    table = group_rate_table(realization.beta, num_pilots, pilot_snr(cfg), uplink_snr(cfg))
     # code = lead * num_pilots**low + tail, so row-major (lead, tail) order is code order.
     low = k // 2
     lead = digit_masks(num_pilots, np.arange(k - low))

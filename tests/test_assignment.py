@@ -1,5 +1,6 @@
 import itertools
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpilot.assignment import (RESTARTS, _cluster_sums, _lockstep_search, _mask_labels,
-                                _partition_masks, assign, cluster_objective, exhaustive_sum_rate,
+from cfpilot.assignment import (_SCREEN_MARGIN, _TABLE_CHUNK, RESTARTS, _cluster_sums,
+                                _group_rate_table, _lockstep_search, _mask_labels,
+                                _near_maximal, _partition_masks, _subset_dissimilarity, assign,
+                                cluster_objective, exhaustive_sum_rate,
                                 greedy_assignment, group_size_bounds, optimal_repulsive,
                                 oracle_assignment, pairwise_distance, random_assignment,
                                 repulsive_heuristic)
@@ -18,8 +21,9 @@ from cfpilot.config import SimConfig
 from cfpilot.errors import BudgetExceededError
 from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
-from reference import (balanced_partitions, cluster_sums, exhaustive_labels, local_search,
-                       optimal_repulsive_labels, repulsive_restarts, sum_rate, swap_gain)
+from reference import (balanced_partitions, cluster_sums, exhaustive_labels, group_rate_table,
+                       local_search, optimal_repulsive_labels, repulsive_restarts, sum_rate,
+                       swap_gain)
 
 LINE = np.array([0.0, 1.0, 10.0, 11.0])
 
@@ -453,6 +457,95 @@ def test_exhaustive_budget_guard():
 def test_exhaustive_single_pilot_trivial():
     cfg, real = small_realization(2, m=4, k=30, tp=1)
     assert exhaustive_sum_rate(real, cfg).p.tolist() == [0] * 30
+
+
+def rate_tables(m, k, tp, index, seed=900, shadowing_sigma=4.0, copies=0):
+    """The group-rate table and its reference on one drop; the last ``copies`` UEs copy the first."""
+    cfg = SimConfig(num_aps=m, num_ues=k, num_pilots=tp, seed=seed,
+                    shadowing_sigma=shadowing_sigma)
+    beta = generate_realization(cfg, index).beta.copy()
+    beta[:, k - copies:] = beta[:, :copies]
+    args = (beta, tp, pilot_snr(cfg), uplink_snr(cfg))
+    return _group_rate_table(*args), group_rate_table(*args)
+
+
+def assert_same_bits(table, reference):
+    assert table.shape == reference.shape
+    assert np.array_equal(table.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize("m,k,tp,count", [
+    (50, 12, 3, 20),
+    (20, 13, 3, 1),   # exactly one full chunk
+    (20, 15, 2, 1),   # four chunks
+    (10, 17, 2, 1),   # sixteen chunks
+    (10, 1, 1, 2),
+    (10, 1, 3, 2),
+    (10, 2, 2, 2),
+    (8, 2, 3, 2),
+])
+def test_group_rate_table_matches_reference_bit_for_bit(m, k, tp, count):
+    for i in range(count):
+        assert_same_bits(*rate_tables(m, k, tp, i))
+
+
+@pytest.mark.parametrize("m,k,tp,copies", [(50, 12, 3, 6), (20, 15, 2, 7), (10, 4, 2, 2)])
+def test_group_rate_table_with_duplicated_gains_matches_reference_bit_for_bit(m, k, tp, copies):
+    for i in range(2):
+        assert_same_bits(*rate_tables(m, k, tp, i, seed=2022, copies=copies))
+
+
+def test_group_rate_table_out_of_range_entries_match_reference_bit_for_bit():
+    table, reference = rate_tables(50, 12, 3, 0, seed=1, shadowing_sigma=600)
+    assert not np.isfinite(reference).all()
+    assert_same_bits(table, reference)
+
+
+def test_group_rate_table_reuses_no_stale_work_between_sizes():
+    first = rate_tables(50, 12, 3, 0)[0]
+    assert_same_bits(*rate_tables(20, 15, 2, 0))
+    again, reference = rate_tables(50, 12, 3, 0)
+    assert_same_bits(again, first)
+    assert_same_bits(again, reference)
+
+
+@pytest.mark.parametrize("k", [1, 5, 12])
+def test_subset_dissimilarity_matches_a_fresh_product_bit_for_bit(k):
+    scores = pairwise_distance(np.random.default_rng(k).uniform(0, 1000, size=(k, 2)))
+    member = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+    assert_same_bits(_subset_dissimilarity(scores), ((member @ scores) * member).sum(axis=1) / 2.0)
+
+
+@pytest.mark.parametrize("levels", [3, 1000, None])
+def test_near_maximal_keeps_the_rows_of_one_pass(levels):
+    # 88,574 rows screened in blocks of _TABLE_CHUNK; few levels give many exact ties.
+    masks = _partition_masks(12, 3, 12, 0)
+    assert masks.shape[0] > 10 * _TABLE_CHUNK
+    rng = np.random.default_rng(3)
+    values = rng.random(1 << 12) if levels is None else rng.integers(0, levels, 1 << 12) / levels
+    screen = values[masks[:, 0]] + values[masks[:, 1]] + values[masks[:, 2]]
+    expected = masks[screen >= screen.max() * (1.0 - _SCREEN_MARGIN)]
+    assert np.array_equal(_near_maximal(masks, values), expected)
+
+
+def traced_peak(call):
+    """Largest traced allocation of ``call()`` beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_exact_searches_allocate_little():
+    cfg = SimConfig(num_aps=50, num_ues=12, num_pilots=3, seed=2022)
+    real = generate_realization(cfg, 0)
+    exhaustive_sum_rate(real, cfg)
+    optimal_repulsive(real.ue_positions, 3)
+    assert traced_peak(lambda: exhaustive_sum_rate(real, cfg)) < 1_000_000
+    assert traced_peak(lambda: optimal_repulsive(real.ue_positions, 3)) < 300_000
 
 
 def test_oracle_assignment_flag():

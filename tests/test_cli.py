@@ -123,6 +123,27 @@ def test_more_pilots_than_ues_is_config_error(tmp_path, capsys, strategy):
     assert "4 UEs cannot fill 6 pilots" in capsys.readouterr().err
 
 
+def test_pilots_filling_the_coherence_block_is_config_error(tmp_path, capsys):
+    # No symbol is left for data, so every throughput would be 0.
+    cfg = write_config(tmp_path, BASE + "coherence_len = 2\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "num_pilots = 2 equals coherence_len = 2" in err
+    assert "rounds to 0" not in err
+    assert not out.exists()
+
+
+def test_sweep_value_filling_the_coherence_block_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE + "coherence_len = 3\n")
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", cfg, "--var", "num_pilots", "--values", "2,3",
+                 "--out", str(out)])
+    assert code == 2
+    assert "num_pilots = 3 equals coherence_len = 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_records_file_is_config_error(tmp_path):
     assert main(["stats", "--in", str(tmp_path / "missing.csv")]) == 2
 

@@ -240,6 +240,15 @@ def test_first_failure_in_loop_order_decides_the_error(monkeypatch, chunk, assig
         run_experiment(cfg)
 
 
+def test_pilots_filling_the_coherence_block_fail_before_the_first_drop(monkeypatch):
+    def no_drop(sim, index):
+        raise AssertionError("a realization was drawn")
+    monkeypatch.setattr(harness, "generate_realization", no_drop)
+    cfg = tiny_experiment(sim=dict(num_pilots=2, coherence_len=2))
+    with pytest.raises(ConfigError, match="num_pilots = 2 equals coherence_len = 2"):
+        run_experiment(cfg)
+
+
 def test_sweep_row_count(tmp_path):
     cfg = tiny_experiment(sweep_var="num_aps", sweep_values=(4, 6, 8))
     rows = run_sweep(cfg, q=0.95)
