@@ -324,6 +324,7 @@ def _near_maximal(masks, group_value):
     for start in range(0, masks.shape[0], _TABLE_CHUNK):
         block = masks[start:start + _TABLE_CHUNK]
         screen, value = totals[:block.shape[0]], values[:block.shape[0]]
+        # mode="clip" (the indices are in range) lets take write into out unbuffered.
         np.take(group_value, block[:, 0], out=screen, mode="clip")
         for column in range(1, masks.shape[1]):
             screen += np.take(group_value, block[:, column], out=value, mode="clip")
@@ -401,8 +402,8 @@ def optimal_repulsive(features, num_pilots) -> PilotAssignment:
 
 
 @functools.lru_cache(maxsize=1)
-def _rate_workspace(rows, num_aps, num_ues):
-    """Reused work arrays of :func:`_group_rate_table` for chunks of ``rows`` subsets.
+def _rate_workspace(num_aps, num_ues):
+    """Reused work arrays of :func:`_group_rate_table`, one chunk of subsets each.
 
     Past K = 13 the membership rows are writable copies whose high-bit
     columns each chunk sets; up to K = 13 they are the cached rows.
@@ -410,6 +411,7 @@ def _rate_workspace(rows, num_aps, num_ues):
     member, inside = _subset_members(num_ues)
     if num_ues > _CHUNK_BITS:
         member, inside = member.copy(), inside.copy()
+    rows = member.shape[0]
     return SimpleNamespace(
         member=member, inside=inside,
         outer=np.empty((num_ues * num_ues, num_aps)),      # [k * K + l, m]: beta_mk * beta_ml
@@ -432,17 +434,19 @@ def _group_rate_table(beta, num_pilots, rho_p, rho_u):
     Out-of-range gains leave entries that are not finite, without a warning.
 
     Subsets come in chunks of ``_TABLE_CHUNK``, each computed in place in
-    reused work arrays with the products, operand layouts and summation
-    orders of ``tests/reference.py``'s ``group_rate_table``, so every entry
-    equals its value bit for bit. There the pair product comes from one
-    matrix product laid out ``[k, l, c]``, and each UE's co-pilot sum adds
-    the members' terms in ascending l, one l at a time, as here.
+    reused work arrays, so a warm call allocates little beyond its result.
+    Every entry equals that of ``tests/reference.py``'s ``group_rate_table``
+    bit for bit: the steps are the same operations, in the same order, on
+    operands of the same layout. The reference's optimized einsum forms the
+    pair product as one matrix product laid out ``[k, l, c]`` and adds each
+    UE's co-pilot terms in ascending l; here that product is called
+    directly and the terms are added one l at a time.
     """
     m, k = beta.shape
     train = num_pilots * rho_p
     table = np.empty(1 << k)
-    rows = min(1 << k, _TABLE_CHUNK)
-    work = _rate_workspace(rows, m, k)
+    work = _rate_workspace(m, k)
+    rows = work.member.shape[0]
     member, inside, damp, totals, cross, denom = (
         work.member, work.inside, work.damp, work.totals, work.cross, work.denom)
     pair = work.pair.reshape(k, k, rows)
@@ -456,7 +460,7 @@ def _group_rate_table(beta, num_pilots, rho_p, rho_u):
             if k > _CHUNK_BITS:                       # high bits are constant within a chunk
                 member[:, _CHUNK_BITS:] = (start >> np.arange(_CHUNK_BITS, k)) & 1
                 np.greater(member[:, _CHUNK_BITS:], 0, out=inside[:, _CHUNK_BITS:])
-            np.matmul(member, beta.T, out=damp)                         # load
+            np.matmul(member, beta.T, out=damp)                         # subset load per AP
             damp *= train
             damp += 1.0
             np.divide(1.0, damp, out=damp)
