@@ -103,8 +103,11 @@ def greedy_assignment(realization: NetworkRealization, cfg: SimConfig, seed) -> 
     labels = random_assignment(k, cfg.num_pilots, seed).p.copy()
     for _ in range(2 * k):
         assignment = PilotAssignment(labels)
-        gamma = estimation_quality(beta, assignment, cfg.num_pilots, rho_p).gamma
-        sinr = uplink_sinr(beta, gamma, assignment, eta, rho_u)
+        # Out-of-range gains give non-finite SINRs here; the caller rejects such a drop
+        # from the SINR terms of the assignment returned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = estimation_quality(beta, assignment, cfg.num_pilots, rho_p).gamma
+            sinr = uplink_sinr(beta, gamma, assignment, eta, rho_u)
         worst = int(np.argmin(sinr))
         per_pilot = np.bincount(labels, weights=ue_gain, minlength=cfg.num_pilots)
         per_pilot[labels[worst]] -= ue_gain[worst]

@@ -58,7 +58,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
     evaluated on it: assignment, estimation statistics, power policy, SINR,
     throughput. Realizations are taken in chunks: per realization the
     assignments and SINR terms are built once, in order; then the chunk's
-    max-min problems are bisected in lock-step, and SINR and throughput are
+    max-min problems are solved in lock-step, and SINR and throughput are
     computed from the same terms. Each output and error is that of
     evaluating every (realization, strategy) alone, in loop order.
 
@@ -68,8 +68,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
     coherence block, so every throughput is 0. It is raised for a UE whose
     summed estimate quality squared under- or overflows, which leaves its
     SINR undefined; for a max-min problem whose coupling or noise floor is
-    not finite and positive; and for a UE whose throughput is 0, whether its
-    SINR is 0 (max-min left it no power) or positive and rounds to 0.
+    not finite and positive; and for a UE whose throughput is 0 (its SINR
+    rounds it to 0) or not finite (the SINR or the bandwidth overflows it).
     """
     sim = cfg.sim
     if sim.num_pilots == sim.coherence_len:
@@ -99,9 +99,9 @@ def _build_drop(cfg, realization, index, strategy, rho_p, rho_u):
     """One strategy on a realization, reduced to (index, strategy, SINR terms, power problem)."""
     sim = cfg.sim
     pilot = assign(strategy, realization, sim, seed=strategy_seed(sim.seed, index, strategy))
-    quality = estimation_quality(realization.beta, pilot, sim.num_pilots, rho_p)
     # Out-of-range terms are rejected below: the numerator always, the coupling under max-min.
     with np.errstate(over="ignore", invalid="ignore"):
+        quality = estimation_quality(realization.beta, pilot, sim.num_pilots, rho_p)
         terms = sinr_terms(realization.beta, quality.gamma, pilot)
     lost = np.flatnonzero(~((terms.signal > 0) & (terms.signal < np.inf)))
     if lost.size:
@@ -135,13 +135,17 @@ def _evaluate(cfg, drops) -> list[ThroughputRecord]:
         powers = repeat(full_power(sim.num_ues))
     records = []
     for (index, strategy, terms, _), power in zip(drops, powers):
-        report = terms_report(terms, power.eta, sim)
-        lost = np.flatnonzero(report.throughput == 0)
+        # An out-of-range SINR or throughput is rejected below, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = terms_report(terms, power.eta, sim)
+        lost = np.flatnonzero(~((report.throughput > 0) & (report.throughput < np.inf)))
         if lost.size:
+            ue = lost[0]
+            fault = "rounds to 0" if report.throughput[ue] == 0 else "is not finite"
             raise ConfigError(
-                f"realization {index}, {strategy}: the throughput of UE {lost[0]} rounds to 0 "
-                f"at SINR {report.sinr[lost[0]]:g} (uplink_tx_power = {sim.uplink_tx_power:g} W, "
-                f"pilot_tx_power = {sim.pilot_tx_power:g} W, "
+                f"realization {index}, {strategy}: the throughput of UE {ue} {fault} "
+                f"at SINR {report.sinr[ue]:g} (uplink_tx_power = {sim.uplink_tx_power:g} W, "
+                f"pilot_tx_power = {sim.pilot_tx_power:g} W, bandwidth = {sim.bandwidth:g} Hz, "
                 f"shadowing_sigma = {sim.shadowing_sigma:g} dB)")
         records.extend(ThroughputRecord(index, strategy, ue, sinr, bps) for ue, (sinr, bps)
                        in enumerate(zip(report.sinr.tolist(), report.throughput.tolist())))

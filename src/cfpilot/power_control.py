@@ -1,23 +1,25 @@
 """Uplink power-control policies: full power and max-min fairness.
 
-The max-min solver bisects on a common SINR target. For each target the
-per-UE power update eta <- target * (coupling @ eta + floor) is affine and
-monotone, so its fixed point is the exact solution of the linear system
-(I - target * coupling) eta = target * floor whenever
-target * rho(coupling) < 1, and no power vector meets the target otherwise.
-A target is feasible when the fixed point exists and respects the unit cap.
+The max-min optimum is exact. With SINR_k(eta) = eta_k / ((C eta)_k + f_k),
+a common SINR 1/lam is met by z(lam) = (lam I - C)^-1 f, and every z_k falls
+as lam grows past rho(C). So the optimum lam* is the least lam with
+max z <= 1, eta* = z(lam*), and lam* = max_i rho(C + f e_i^T)
+(Perron-Frobenius; Zheng & Tan, IEEE T-IT 2016; Nuzman, IEEE/ACM ToN 2007).
 
-Many instances are bisected in lock-step: each step solves the stacked
-systems of every instance still bisecting, and each solution certifies its
-own spectral condition (Perron-Frobenius, Collatz-Wielandt), so the
-spectral radius is computed only for an instance whose solution certifies
-neither way, such as a badly scaled one whose solve is not accurate entry
-by entry. Every decision is the one a dense spectral-radius test makes.
+Each instance iterates on lam from the full-power point, always feasible.
+The next point is the largest root of 1/z_k(lam) = 1 over the UEs k, each
+modelled as linear in lam: a Newton step first, secant steps after. Every
+solve certifies itself. A positive z that meets the cap, and whose residual
+shows each UE at SINR 1/lam, bounds lam* from above; any positive z bounds
+it from below (Collatz-Wielandt). A solve whose residual falls short, as on
+a badly scaled drop, is refined before it is judged. The iteration stops
+when the two bounds meet. Many instances iterate in lock-step, row by row,
+so an instance's iterates and result do not depend on the others in its
+stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,17 +28,14 @@ from .chanest import PilotAssignment
 from .errors import BudgetExceededError
 from .rate_model import SinrTerms, sinr_terms
 
-BISECTION_TOL = 1e-3
-BISECTION_BUDGET = 60
 _CAP_SLACK = 1e-9
-_SPECTRAL_MARGIN = 1e-9
-# Least Collatz-Wielandt gap accepted as proof that target * rho <= 1 - _SPECTRAL_MARGIN;
-# rounding moves the computed gap by about 1e-14.
-_CERTIFIED_MARGIN = 1e-6
-# Largest componentwise backward error w of a solve whose non-positive entry proves
-# target * rho >= 1. Such an x solves exactly a system within relative w of each entry
-# (Oettli-Prager), which moves target * rho by at most about 2w: below _SPECTRAL_MARGIN.
-_TRUSTED_ERROR = 1e-10
+# An accepted point's residual shows every UE at SINR >= (1 - _SINR_SLACK) / lam.
+_SINR_SLACK = 1e-9
+# The iteration stops once the best accepted lam is within this relative gap of lam*'s lower bound.
+_CONVERGED = 1e-12
+_STEP_BUDGET = 60
+# Refinement solves for a point whose residual falls short, as a badly scaled drop's may.
+_REFINEMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -73,86 +72,102 @@ def power_problem(terms: SinrTerms, uplink_snr):
     return coupling, floor
 
 
-def _judge(coupling, floor, rows, targets, radius):
-    """Fixed points x of instances ``rows`` at ``targets``, and whether each target is feasible.
-
-    With coupling C >= 0 and t * f >= 0, the solution of (I - t C) x = t f
-    certifies itself. A positive x bounds t * rho(C) by
-    1 - min((I - t C) x / x) (Collatz-Wielandt, for any positive x), and a
-    non-positive entry proves t * rho(C) >= 1 if x is accurate entry by
-    entry (an accurate x of a system with t * rho < 1 is non-negative, and
-    positive wherever t * f is). An instance proved neither way, or whose
-    system is singular, is judged by its spectral radius, computed at most
-    once and kept in ``radius``.
-    """
-    if len(rows) < len(coupling):
-        coupling, floor = coupling[rows], floor[rows]
-    rhs = targets[:, None] * floor
-    system = coupling * targets[:, None, None]  # t C, then I - t C in place
-    np.subtract(np.eye(floor.shape[1]), system, out=system)
+def _solve(system, rhs):
+    """Row-wise solutions of stacked linear systems; a singular system gives a NaN row."""
     try:
-        x = np.linalg.solve(system, rhs[..., None])[..., 0]
+        return np.linalg.solve(system, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        x = np.full_like(rhs, np.nan)  # every instance falls back to its own solve below
-    applied = (system @ x[..., None])[..., 0]
-    lowest = x.min(axis=1)
-    beyond = lowest <= 0
-    within = (lowest > 0) & (applied > _CERTIFIED_MARGIN * x).all(axis=1)
-    if beyond.any():  # a sign proof needs a small componentwise backward error (Oettli-Prager)
-        b = np.flatnonzero(beyond)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = (np.abs(system[b]) @ np.abs(x[b])[..., None])[..., 0] + rhs[b]
-            beyond[b] = (np.abs(applied[b] - rhs[b]) / scale).max(axis=1) <= _TRUSTED_ERROR
-    feasible = within & (x.max(axis=1) <= 1.0 + _CAP_SLACK)
-    undecided = ~(beyond | within)
-    for j in np.flatnonzero(undecided) if undecided.any() else ():
-        i = rows[j]
-        if np.isnan(radius[i]):
-            radius[i] = np.abs(np.linalg.eigvals(coupling[j])).max()
-        if targets[j] * radius[i] >= 1.0 - _SPECTRAL_MARGIN:
-            feasible[j] = False
-            continue
-        if np.isnan(x[j]).all():
-            x[j] = np.linalg.solve(system[j], rhs[j])
-        feasible[j] = x[j].max() <= 1.0 + _CAP_SLACK
-    return x, feasible
+        if len(rhs) == 1:
+            return np.full_like(rhs, np.nan)
+        return np.concatenate([_solve(system[j:j + 1], rhs[j:j + 1]) for j in range(len(rhs))])
+
+
+def _meets(lam, z, load, floor):
+    """Whether the residual of z puts every UE at SINR >= (1 - _SINR_SLACK) / lam."""
+    return (lam[:, None] * z >= (1.0 - _SINR_SLACK) * (load + floor)).all(axis=1)
+
+
+def _refined_solve(system, coupling, floor, lam):
+    """z = (lam I - C)^-1 f and C z, with up to ``_REFINEMENTS`` refinement solves per short row.
+
+    Partial pivoting bounds the residual by the norm of the system, so on a
+    badly scaled drop a small z_k can be far off in relative terms; refining
+    with the residual computed in place recovers it entry by entry (Skeel).
+    """
+    z = _solve(system, floor)
+    load = (coupling @ z[..., None])[..., 0]
+    for _ in range(_REFINEMENTS):
+        short = np.flatnonzero(~_meets(lam, z, load, floor))
+        if not short.size:
+            break
+        z[short] += _solve(system[short], floor[short] + load[short] - lam[short, None] * z[short])
+        load[short] = (coupling[short] @ z[short, :, None])[..., 0]
+    return z, load
 
 
 def max_min_powers(coupling, floor):
-    """Max-min power vectors of stacked instances, bisected in lock-step to relative ``BISECTION_TOL``.
+    """Exact max-min power vectors of stacked instances, solved in lock-step.
 
     ``coupling`` is (n, K, K) and ``floor`` (n, K), one instance per row, as
-    built by :func:`power_problem`. Each instance's common SINR target is
-    bisected geometrically between its minimum full-power SINR (always
-    feasible) and its minimum interference-free single-user SINR (never
-    exceedable), with exactly the midpoints and decisions of bisecting it
-    alone. At each returned vector all users sit at the best certified
-    target, so their SINRs are equal; coefficients at the unit cap mark
-    users that are power-limited there.
+    built by :func:`power_problem`. The result is the best point whose own
+    solve certifies it (every user at SINR >= (1 - ``_SINR_SLACK``) / lam
+    within the unit cap) once lam is within relative ``_CONVERGED`` of the
+    Collatz-Wielandt lower bound, or after ``_STEP_BUDGET`` steps.
+    Coefficients at the cap mark the users that are power-limited. Row sums
+    that overflow give a zero target and the zero power vector.
 
     Yields one :class:`PowerCoefficients` per instance, in order, and raises
-    ``BudgetExceededError`` on reaching an instance whose full-power SINR
-    floor no power vector certifies.
+    ``BudgetExceededError`` on reaching an instance whose full-power point
+    its solve does not certify.
     """
-    ones = np.ones(floor.shape[1])
-    lo = [float((1.0 / (c @ ones + f)).min()) for c, f in zip(coupling, floor)]
-    hi = (1.0 / (coupling.diagonal(axis1=1, axis2=2) + floor)).min(axis=1).tolist()
-    radius = np.full(len(floor), np.nan)
-    eta, certified = _judge(coupling, floor, range(len(lo)), np.array(lo), radius)
-    live = [i for i, ok in enumerate(certified) if ok]
-    for _ in range(BISECTION_BUDGET):
-        live = [i for i in live if not hi[i] <= lo[i] * (1.0 + BISECTION_TOL)]
-        if not live:
-            break
-        mid = [math.sqrt(lo[i] * hi[i]) for i in live]
-        x, feasible = _judge(coupling, floor, live, np.array(mid), radius)
-        for i, target, ok, row in zip(live, mid, feasible.tolist(), x):
-            if ok:
-                lo[i] = target
-                eta[i] = row
+    n, k = floor.shape
+    with np.errstate(over="ignore"):  # row sums that overflow give a zero target
+        lam = (coupling @ np.ones(k) + floor).max(axis=1)  # 1 / the full-power minimum SINR
+    eta = np.zeros((n, k))
+    upper = np.full(n, np.inf)
+    lower = np.zeros(n)
+    certified = lam == np.inf  # a zero target, met by eta = 0
+    live = np.flatnonzero(~certified)
+    for step in range(_STEP_BUDGET):
+        c, f, x = (coupling, floor, lam) if live.size == n else (coupling[live], floor[live], lam[live])
+        system = np.negative(c)  # lam I - C
+        system.reshape(live.size, k * k)[:, ::k + 1] += x[:, None]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            z, load = _refined_solve(system, c, f, x)
+            top = z.max(axis=1)
+            positive = z.min(axis=1) > 0
+            # (C + f e_i^T) z / z for the UE i at max z bounds lam* below (Collatz-Wielandt).
+            bound = np.where(positive, ((load + top[:, None] * f) / z).min(axis=1), -np.inf)
+            lower[live] = np.fmax(lower[live], bound)
+            # Only the full-power point, under the cap in exact arithmetic, may round past it.
+            cap = 1.0 + _CAP_SLACK if step == 0 else 1.0
+            ok = positive & (top <= cap) & _meets(x, z, load, f)
+            upper[live[ok]] = x[ok]
+            eta[live[ok]] = z[ok]
+            low, high = lower[live], upper[live]
+            going = high - low > _CONVERGED * high
+            if step == 0:
+                certified[live] = ok
+                going &= ok
+            live, x, z, low, high = live[going], x[going], z[going], low[going], high[going]
+            if not live.size:
+                break
+            g = 1.0 / z
+            if step == 0:  # Newton: d(1/z)/dlam = w / z^2 with w = (lam I - C)^-1 z
+                slope = _solve(system[going], z) * g * g
             else:
-                hi[i] = target
-    for row, ok in zip(eta, certified):
+                slope = (g - last_g[going]) / (x - last[going])[:, None]
+            guess = (x[:, None] + (1.0 - g) / slope).max(axis=1)
+            inside = (low < guess) & (guess < high)
+            # A guess at the lower bound lands on the infeasible side, so step past half the
+            # stopping gap; a guess outside the bracket, or back on this point, gives way to
+            # the bracket's geometric midpoint.
+            guess = np.maximum(guess, low + 0.5 * _CONVERGED * high)
+            guess = np.where(inside & (guess != x), guess, np.sqrt(low) * np.sqrt(high))
+        moving = guess != x  # only the midpoint of a bracket that did not move repeats
+        live, last, last_g = live[moving], x[moving], g[moving]
+        lam[live] = guess[moving]
+    for row, ok in zip(eta, certified.tolist()):
         if not ok:
             raise BudgetExceededError("no power vector certifies the full-power SINR floor",
                                       guard="max-min power solve")
@@ -160,9 +175,6 @@ def max_min_powers(coupling, floor):
 
 
 def max_min_power(beta, gamma, assignment: PilotAssignment, uplink_snr) -> PowerCoefficients:
-    """Power vector maximizing the minimum per-user SINR, to relative ``BISECTION_TOL``.
-
-    A stack of one for :func:`max_min_powers`.
-    """
+    """Power vector maximizing the minimum per-user SINR; a stack of one for :func:`max_min_powers`."""
     coupling, floor = power_problem(sinr_terms(beta, gamma, assignment), uplink_snr)
     return next(max_min_powers(coupling[None], floor[None]))

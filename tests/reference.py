@@ -28,6 +28,21 @@ def sum_rate(beta, gamma, assignment, eta, uplink_snr):
     return float(np.log2(1.0 + uplink_sinr(beta, gamma, assignment, eta, uplink_snr)).sum())
 
 
+def maxmin_optimum(coupling, floor):
+    """Max-min common SINR t* = 1 / max_i rho(C + f e_i^T), from K dense eigenvalue problems.
+
+    rho(C + f e_i^T) is the lam at which UE i's power (lam I - C)^-1 f meets
+    the unit cap (Perron-Frobenius; Zheng & Tan, IEEE T-IT 2016), so the
+    largest of them is the least lam at which every UE's power fits.
+    """
+    radius = 0.0
+    for ue in range(floor.size):
+        rank_one = coupling.copy()
+        rank_one[:, ue] += floor
+        radius = max(radius, float(np.abs(np.linalg.eigvals(rank_one)).max()))
+    return 1.0 / radius
+
+
 def cluster_sums(scores, labels, cluster):
     """Each UE's summed dissimilarity to the members of one cluster."""
     return scores[:, np.flatnonzero(labels == cluster)].sum(axis=1)

@@ -280,14 +280,77 @@ def test_throughput_rounding_to_zero_is_config_error(tmp_path, capsys, policy):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma", [250, 300, 400, 500])
-def test_max_min_power_of_zero_is_config_error(tmp_path, capsys, sigma):
-    # At this shadowing max-min leaves some UEs a power coefficient of 0 (or
-    # one that underflows the SINR to 0), so their throughput is exactly 0.
+@pytest.mark.parametrize("sigma", [60, 150, 250, 300, 400, 500])
+def test_max_min_power_at_extreme_shadowing_writes_positive_rows(tmp_path, sigma):
+    # Gains spread over hundreds of decades, so solves are refined or rejected, never
+    # accepted short: every UE keeps a positive SINR and throughput.
     cfg = write_config(tmp_path, BASE + f"shadowing_sigma = {sigma}\n")
     out = tmp_path / "x.csv"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "rounds to 0 at SINR 0 " in err
-    assert all(name in err for name in ("uplink_tx_power", "pilot_tx_power", "shadowing_sigma"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    records = read_records(out)
+    assert len(records) == 2 * 2 * 4
+    assert all(r.sinr > 0 and r.throughput_bps > 0 for r in records)
+
+
+def run_without_warnings(tmp_path, text):
+    """Exit code of ``cfpilot run`` on ``text``, with every warning an error; no file is left."""
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", cfg, "--out", str(out)])
     assert not out.exists()
+    return code
+
+
+def test_greedy_rounds_on_out_of_range_gains_are_config_error_without_warnings(tmp_path, capsys):
+    # greedy's full-power SINRs overflow in its rounds; the drop's own terms are rejected.
+    text = """
+num_aps = 3
+num_ues = 6
+num_pilots = 3
+realizations = 3
+seed = 11
+strategies = greedy
+power_policy = maxmin
+pilot_tx_power = 1e30
+bandwidth = 1e30
+shadowing_sigma = 700
+"""
+    assert run_without_warnings(tmp_path, text) == 2
+    assert "channel-estimate quality" in capsys.readouterr().err
+
+
+def test_estimate_quality_overflow_is_config_error_without_warnings(tmp_path, capsys):
+    # The MMSE scaling itself overflows, before the SINR terms are built.
+    text = """
+num_aps = 1
+num_ues = 6
+num_pilots = 3
+realizations = 3
+seed = 16
+strategies = random, greedy, repulsive, optimal-repulsive, oracle
+power_policy = full
+shadowing_sigma = 700
+pilot_tx_power = 1e300
+noise_figure = 1e30
+"""
+    assert run_without_warnings(tmp_path, text) == 2
+    assert "channel-estimate quality" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    # The SINR's numerator and denominator both overflow: the SINR is NaN.
+    "num_aps = 3\nnum_ues = 1\nnum_pilots = 1\nrealizations = 2\nseed = 71\n"
+    "power_policy = full\nstrategies = random\nshadowing_sigma = 844.0\n",
+    # The SINR is ordinary, but bandwidth times its rate overflows.
+    "num_aps = 4\nnum_ues = 1\nnum_pilots = 1\nrealizations = 2\nseed = 2\n"
+    "power_policy = full\nstrategies = random\npilot_tx_power = 5.993031110957226e+303\n"
+    "uplink_tx_power = 1.6538294027651235e+308\nbandwidth = 1.6538294216825757e+308\n"
+    "shadowing_sigma = 0.0\n"], ids=["nan_sinr", "bandwidth_overflow"])
+def test_non_finite_throughput_is_config_error_without_warnings(tmp_path, capsys, text):
+    assert run_without_warnings(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "is not finite" in err and "bandwidth" in err

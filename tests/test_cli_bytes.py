@@ -27,13 +27,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "run_small_scale_maxmin": (
         "small_scale.cfg", {"realizations": 3, "power_policy": "maxmin"}, ["run"],
-        "f2e623f1c31c86d67ff9258d2fa9d1bd04956c75d59d5c8d7257adca217663ae"),
+        "81f956b1c07cc5ab02780953525b25bd22ddd0f92c373520fedf8aadbb3c47ac"),
     "run_small_scale_full": (
         "small_scale.cfg", {"realizations": 3, "power_policy": "full"}, ["run"],
         "1a9dae3f992087cf10d1958524cad9563a6a40604317e6af47bb598335246139"),
     "run_table_m100_maxmin": (
         "table_m100.cfg", {"realizations": 2, "power_policy": "maxmin"}, ["run"],
-        "f8f81028138bf1904a1444d80dea63918c9ced46b09874d7e6c6b62a3690bc91"),
+        "16aef4bb7f2fb77aa1c3fa4e8a689020daba3015ad7a8dd9006de59a878b1452"),
     "run_table_m100_full": (
         "table_m100.cfg", {"realizations": 2, "power_policy": "full"}, ["run"],
         "83888207e712b848f8580d2f40c01204d6d34e927c821624ff5d5c600c845d7f"),
@@ -41,10 +41,10 @@ CASES = {
     "sweep_dense_maxmin": (
         "ap_density_sweep.cfg",
         {"realizations": 2, "strategies": "random, greedy, oracle"}, ["sweep"],
-        "db137bc8e847bbd3a518659976766873ac0ede97ace6f29fcaf2bfc32308f062"),
+        "3febba079dc7c204a541616f6313269070257721bb83b5f7d8a6fe2f10d479e6"),
 }
 STATS_INPUT = "run_table_m100_maxmin"
-STATS_SHA256 = "748b3e67007a019da8620a336d8ab91276abb491604bace2f5acc5c3ce664181"
+STATS_SHA256 = "a3f863c043ef3804830a17f9d8bdabf97fb7d8d2154896c2f30772561103d7f4"
 
 
 def shortened_config(tmp_path, name, overrides):
