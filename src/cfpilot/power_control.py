@@ -129,7 +129,8 @@ def max_min_powers(coupling, floor):
     certified = lam == np.inf  # a zero target, met by eta = 0
     live = np.flatnonzero(~certified)
     for step in range(_STEP_BUDGET):
-        c, f, x = (coupling, floor, lam) if live.size == n else (coupling[live], floor[live], lam[live])
+        c, f, x = ((coupling, floor, lam) if live.size == n
+                   else (coupling[live], floor[live], lam[live]))
         system = np.negative(c)  # lam I - C
         system.reshape(live.size, k * k)[:, ::k + 1] += x[:, None]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
