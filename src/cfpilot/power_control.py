@@ -8,14 +8,17 @@ max z <= 1, eta* = z(lam*), and lam* = max_i rho(C + f e_i^T)
 
 Each instance iterates on lam from the full-power point, always feasible.
 The next point is the largest root of 1/z_k(lam) = 1 over the UEs k, each
-modelled as linear in lam: a Newton step first, secant steps after. Every
-solve certifies itself. A positive z that meets the cap, and whose residual
-shows each UE at SINR 1/lam, bounds lam* from above; any positive z bounds
-it from below (Collatz-Wielandt). A solve whose residual falls short, as on
-a badly scaled drop, is refined before it is judged. The iteration stops
-when the two bounds meet. Many instances iterate in lock-step, row by row,
-so an instance's iterates and result do not depend on the others in its
-stack.
+modelled as linear in lam: a Newton step first, secant steps after, and a
+geometric bisection step where these leave the bracket or stall (Brent).
+Each point is solved in the basis scaled by the last positive z, so that
+its solution is near 1 entry by entry and a solve is accurate entry by
+entry even on a drop whose powers span hundreds of decades. Every solve
+certifies itself. A positive z that meets the cap, and whose residual shows
+each UE at SINR 1/lam, bounds lam* from above; any positive z bounds it
+from below (Collatz-Wielandt), and a z with an entry <= 0 puts lam below
+rho(C). The iteration stops when the two bounds meet. Many instances
+iterate in lock-step, row by row, so an instance's iterates and result do
+not depend on the others in its stack.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ _SINR_SLACK = 1e-9
 # The iteration stops once the best accepted lam is within this relative gap of lam*'s lower bound.
 _CONVERGED = 1e-12
 _STEP_BUDGET = 60
-# Refinement solves for a point whose residual falls short, as a badly scaled drop's may.
-_REFINEMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -87,58 +88,47 @@ def _meets(lam, z, load, floor):
     return (lam[:, None] * z >= (1.0 - _SINR_SLACK) * (load + floor)).all(axis=1)
 
 
-def _refined_solve(system, coupling, floor, lam):
-    """z = (lam I - C)^-1 f and C z, with up to ``_REFINEMENTS`` refinement solves per short row.
-
-    Partial pivoting bounds the residual by the norm of the system, so on a
-    badly scaled drop a small z_k can be far off in relative terms; refining
-    with the residual computed in place recovers it entry by entry (Skeel).
-    """
-    z = _solve(system, floor)
-    load = (coupling @ z[..., None])[..., 0]
-    for _ in range(_REFINEMENTS):
-        short = np.flatnonzero(~_meets(lam, z, load, floor))
-        if not short.size:
-            break
-        z[short] += _solve(system[short], floor[short] + load[short] - lam[short, None] * z[short])
-        load[short] = (coupling[short] @ z[short, :, None])[..., 0]
-    return z, load
-
-
 def max_min_powers(coupling, floor):
     """Exact max-min power vectors of stacked instances, solved in lock-step.
 
     ``coupling`` is (n, K, K) and ``floor`` (n, K), one instance per row, as
     built by :func:`power_problem`. The result is the best point whose own
     solve certifies it (every user at SINR >= (1 - ``_SINR_SLACK``) / lam
-    within the unit cap) once lam is within relative ``_CONVERGED`` of the
-    Collatz-Wielandt lower bound, or after ``_STEP_BUDGET`` steps.
-    Coefficients at the cap mark the users that are power-limited. Row sums
-    that overflow give a zero target and the zero power vector.
+    within the unit cap) once lam is within relative ``_CONVERGED`` of its
+    lower bound, or after ``_STEP_BUDGET`` steps. Coefficients at the cap
+    mark the users that are power-limited. Row sums that overflow give a
+    zero target and the zero power vector.
 
     Yields one :class:`PowerCoefficients` per instance, in order, and raises
     ``BudgetExceededError`` on reaching an instance whose full-power point
     its solve does not certify.
     """
     n, k = floor.shape
-    with np.errstate(over="ignore"):  # row sums that overflow give a zero target
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lam = (coupling @ np.ones(k) + floor).max(axis=1)  # 1 / the full-power minimum SINR
+        # z(lam) >= f / (lam - diag C) entry by entry: the first point's scale.
+        scale = floor / (lam[:, None] - coupling.diagonal(axis1=1, axis2=2))
     eta = np.zeros((n, k))
     upper = np.full(n, np.inf)
     lower = np.zeros(n)
-    certified = lam == np.inf  # a zero target, met by eta = 0
+    certified = lam == np.inf  # row sums that overflow give a zero target, met by eta = 0
     live = np.flatnonzero(~certified)
+    earlier = latest = np.full(live.size, np.inf)  # |log| of the step before last, the last step
     for step in range(_STEP_BUDGET):
         c, f, x = ((coupling, floor, lam) if live.size == n
                    else (coupling[live], floor[live], lam[live]))
-        system = np.negative(c)  # lam I - C
-        system.reshape(live.size, k * k)[:, ::k + 1] += x[:, None]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            z, load = _refined_solve(system, c, f, x)
+        s = scale[live]
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            system = c * s[:, None, :]  # C S, then S^-1 C S: entries near lam, never huge
+            np.divide(system, -s[:, :, None], out=system)
+            system.reshape(live.size, k * k)[:, ::k + 1] += x[:, None]  # lam I - S^-1 C S
+            z = _solve(system, f / s) * s
+            load = (c @ z[..., None])[..., 0]
             top = z.max(axis=1)
             positive = z.min(axis=1) > 0
+            scale[live[positive]] = z[positive]
             # (C + f e_i^T) z / z for the UE i at max z bounds lam* below (Collatz-Wielandt).
-            bound = np.where(positive, ((load + top[:, None] * f) / z).min(axis=1), -np.inf)
+            bound = np.where(positive, ((load + top[:, None] * f) / z).min(axis=1), x)
             lower[live] = np.fmax(lower[live], bound)
             # Only the full-power point, under the cap in exact arithmetic, may round past it.
             cap = 1.0 + _CAP_SLACK if step == 0 else 1.0
@@ -150,24 +140,25 @@ def max_min_powers(coupling, floor):
             if step == 0:
                 certified[live] = ok
                 going &= ok
-            live, x, z, low, high = live[going], x[going], z[going], low[going], high[going]
+            live, x, z, s, low, high = (live[going], x[going], z[going], s[going], low[going],
+                                        high[going])
             if not live.size:
                 break
             g = 1.0 / z
             if step == 0:  # Newton: d(1/z)/dlam = w / z^2 with w = (lam I - C)^-1 z
-                slope = _solve(system[going], z) * g * g
+                slope = _solve(system[going], z / s) * s * g * g
             else:
                 slope = (g - last_g[going]) / (x - last[going])[:, None]
             guess = (x[:, None] + (1.0 - g) / slope).max(axis=1)
-            inside = (low < guess) & (guess < high)
-            # A guess at the lower bound lands on the infeasible side, so step past half the
-            # stopping gap; a guess outside the bracket, or back on this point, gives way to
-            # the bracket's geometric midpoint.
+            # A guess at the lower bound lands on the infeasible side: step past half the gap.
             guess = np.maximum(guess, low + 0.5 * _CONVERGED * high)
-            guess = np.where(inside & (guess != x), guess, np.sqrt(low) * np.sqrt(high))
-        moving = guess != x  # only the midpoint of a bracket that did not move repeats
-        live, last, last_g = live[moving], x[moving], g[moving]
-        lam[live] = guess[moving]
+            # Bisect where the guess leaves the bracket or its step is not half the step
+            # before last (Brent), as on a drop whose full-power point is decades above lam*.
+            stalled = ~((guess < high) & (np.abs(np.log(guess / x)) <= 0.5 * earlier[going]))
+            guess = np.where(stalled, np.sqrt(low) * np.sqrt(high), guess)
+            earlier, latest = latest[going], np.abs(np.log(guess / x))
+        last, last_g = x, g
+        lam[live] = guess
     for row, ok in zip(eta, certified.tolist()):
         if not ok:
             raise BudgetExceededError("no power vector certifies the full-power SINR floor",

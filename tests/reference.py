@@ -28,17 +28,23 @@ def sum_rate(beta, gamma, assignment, eta, uplink_snr):
     return float(np.log2(1.0 + uplink_sinr(beta, gamma, assignment, eta, uplink_snr)).sum())
 
 
-def maxmin_optimum(coupling, floor):
+def maxmin_optimum(coupling, floor, balance=None):
     """Max-min common SINR t* = 1 / max_i rho(C + f e_i^T), from K dense eigenvalue problems.
 
     rho(C + f e_i^T) is the lam at which UE i's power (lam I - C)^-1 f meets
     the unit cap (Perron-Frobenius; Zheng & Tan, IEEE T-IT 2016), so the
-    largest of them is the least lam at which every UE's power fits.
+    largest of them is the least lam at which every UE's power fits. A
+    positive ``balance`` b takes each spectrum of diag(b)^-1 M diag(b)
+    instead: the same eigenvalues, but with b near the powers its entries are
+    of comparable size, so eigvals, accurate relative to the largest entry,
+    stays accurate where the entries of M span hundreds of decades.
     """
+    balance = np.ones_like(floor) if balance is None else balance
     radius = 0.0
     for ue in range(floor.size):
         rank_one = coupling.copy()
         rank_one[:, ue] += floor
+        rank_one *= balance[None, :] / balance[:, None]
         radius = max(radius, float(np.abs(np.linalg.eigvals(rank_one)).max()))
     return 1.0 / radius
 

@@ -1,8 +1,8 @@
 """Property test of the CLI on small drawn configs with extreme but finite physical values.
 
 Whatever the config, ``cfpilot run`` exits 0, 2 or 3 without an exception
-or a numpy warning, and every row it writes has a positive SINR and a
-positive throughput.
+or a numpy warning, every row it writes has a positive SINR and a positive
+throughput, and under max-min each drop's SINRs are equal.
 """
 
 import tempfile
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cfpilot.cli import main
 from cfpilot.config import STRATEGY_NAMES
 from cfpilot.harness import read_records
+from test_cli import assert_equalized
 
 # Positive finite doubles, subnormals included, and powers of ten spread log-uniformly.
 EXTREME = st.one_of(st.floats(min_value=0.0, max_value=1.7e308, exclude_min=True),
@@ -58,3 +59,5 @@ def test_cli_run_exits_cleanly_and_writes_only_positive_rows(text):
             records = read_records(out)
             assert records
             assert all(r.sinr > 0 and r.throughput_bps > 0 for r in records)
+            if "power_policy = maxmin" in text:
+                assert_equalized(records)

@@ -168,11 +168,11 @@ def test_step_budget_returns_the_full_power_point(monkeypatch):
 
 @pytest.mark.parametrize("shadowing_sigma", [60.0, 150.0, 300.0])
 def test_badly_scaled_instances_match_eigvals_reference(shadowing_sigma):
-    # Gains spread over hundreds of decades, so a solve can be inaccurate entry by entry; it
-    # is refined or rejected, never accepted short. Every result lies in [0, 1] with a
-    # minimum SINR between the full-power minimum and the eigvals reference t*, and all
-    # drops at 60 dB and most at 150 and 300 dB reach t* within 1e-9.
-    exact = 0
+    # Gains spread over hundreds of decades, and so do the powers. Every drop's vector lies
+    # in [0, 1], equalizes the SINRs within 1e-9 and reaches t* within 1e-9. Plain eigvals
+    # is accurate only relative to the largest entry, so t* is taken from each rank-one
+    # matrix balanced by the returned powers, a similarity: unbalanced, trial 4 at 300 dB
+    # reads t* 5.5e-9 below the SINR that the returned vector itself achieves.
     for trial in range(24):
         with np.errstate(all="ignore"):
             coupling, floor = problem(trial, m=20, k=8, tp=3, oracle=trial % 2 == 1,
@@ -182,17 +182,15 @@ def test_badly_scaled_instances_match_eigvals_reference(shadowing_sigma):
             eta = next(max_min_powers(coupling[None], floor[None])).eta
             sinr = sinr_of(coupling, floor, eta)
             full = sinr_of(coupling, floor, np.ones(floor.size)).min()
-            optimum = maxmin_optimum(coupling, floor)
-        assert eta.min() >= 0.0 and eta.max() <= 1.0, trial
-        assert sinr.min() >= (1.0 - 1e-9) * full, trial
-        assert sinr.min() <= optimum * (1.0 + 1e-9), trial
-        exact += bool(sinr.min() >= optimum * (1.0 - 1e-9))
-    assert exact >= {60.0: 24, 150.0: 23, 300.0: 18}[shadowing_sigma]
+            optimum = maxmin_optimum(coupling, floor, balance=eta)
+        assert eta.min() > 0.0 and eta.max() <= 1.0, trial
+        assert sinr.min() >= full and sinr.min() >= (1.0 - 1e-9) * sinr.max(), trial
+        assert abs(sinr.min() - optimum) <= 1e-9 * optimum, trial
 
 
 def test_spurious_negative_entry_of_an_inaccurate_solve_does_not_reject():
-    # At shadowing 300 dB some of this drop's solves have tiny negative entries even after
-    # refinement; they are rejected, and the result is still t* within 1e-9.
+    # At shadowing 300 dB this drop's powers span decades; solved in the basis scaled by
+    # the last powers, its result is still t* within 1e-9, with equal SINRs.
     beta, p, gamma, rho = instance(11, m=6, k=4, tp=2, oracle=True, shadowing_sigma=300.0)
     coupling, floor = power_problem(sinr_terms(beta, gamma, p), rho)
     with np.errstate(all="ignore"):
