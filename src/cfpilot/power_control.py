@@ -83,11 +83,6 @@ def _solve(system, rhs):
         return np.concatenate([_solve(system[j:j + 1], rhs[j:j + 1]) for j in range(len(rhs))])
 
 
-def _meets(lam, z, load, floor):
-    """Whether the residual of z puts every UE at SINR >= (1 - _SINR_SLACK) / lam."""
-    return (lam[:, None] * z >= (1.0 - _SINR_SLACK) * (load + floor)).all(axis=1)
-
-
 def max_min_powers(coupling, floor):
     """Exact max-min power vectors of stacked instances, solved in lock-step.
 
@@ -132,7 +127,8 @@ def max_min_powers(coupling, floor):
             lower[live] = np.fmax(lower[live], bound)
             # Only the full-power point, under the cap in exact arithmetic, may round past it.
             cap = 1.0 + _CAP_SLACK if step == 0 else 1.0
-            ok = positive & (top <= cap) & _meets(x, z, load, f)
+            meets = (x[:, None] * z >= (1.0 - _SINR_SLACK) * (load + f)).all(axis=1)
+            ok = positive & (top <= cap) & meets
             upper[live[ok]] = x[ok]
             eta[live[ok]] = z[ok]
             low, high = lower[live], upper[live]
