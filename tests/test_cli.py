@@ -292,8 +292,8 @@ def assert_equalized(records, rtol=1e-8):
 @pytest.mark.parametrize("sigma", [60, 150, 250, 300, 400, 500])
 def test_max_min_power_at_extreme_shadowing_writes_equalized_rows(tmp_path, sigma):
     # Gains spread over hundreds of decades, and so do the powers; solved in a basis scaled
-    # by the last powers, every drop still reaches its max-min optimum. From 250 dB on that
-    # common SINR is about 1, not 0 as a bisection certified it, so the run exits 0.
+    # by the last powers, every drop still reaches its max-min optimum, a common SINR of
+    # about 1 from 250 dB on, so every row is positive and the run exits 0.
     cfg = write_config(tmp_path, BASE + f"shadowing_sigma = {sigma}\n")
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
