@@ -31,7 +31,12 @@ GOLDEN = [
     ("repulsive", 100, 40, 4, 2022, 0,
      [0, 2, 1, 2, 3, 2, 0, 1, 3, 1, 0, 1, 3, 2, 3, 0, 3, 0, 3, 3,
       3, 0, 1, 1, 0, 2, 3, 2, 2, 0, 0, 3, 1, 1, 2, 2, 2, 1, 0, 1]),
+    # Unequal clusters: one cluster holds a member more, the rest an empty slot.
+    ("repulsive", 100, 41, 10, 2022, 0,
+     [0, 7, 3, 8, 8, 4, 6, 5, 1, 3, 2, 6, 1, 8, 5, 5, 7, 4, 1, 3,
+      4, 0, 2, 9, 8, 0, 5, 4, 0, 9, 2, 7, 9, 3, 6, 0, 2, 1, 6, 7, 9]),
     ("repulsive", 50, 12, 3, 2022, 0, [0, 2, 1, 0, 2, 1, 0, 2, 1, 2, 1, 0]),
+    ("repulsive", 50, 13, 3, 2022, 0, [2, 2, 1, 1, 0, 1, 2, 0, 1, 0, 0, 0, 2]),
     ("repulsive", 50, 12, 3, 5, 9, [2, 2, 1, 2, 1, 0, 2, 1, 0, 1, 0, 0]),
     ("repulsive", 200, 100, 20, 2022, 1,
      [13, 12, 2, 17, 15, 6, 13, 1, 14, 2, 10, 8, 16, 15, 13, 19, 3, 4, 2, 1,
