@@ -34,8 +34,6 @@ from .topology import NetworkRealization, pilot_snr, uplink_snr
 # swap whose exact gain is 0 must read below the margin both ways, or the
 # search cycles.
 SWAP_TOLERANCE = 1e-12
-# Search key of an entry that holds no improving swap.
-_NO_SWAP = np.iinfo(np.uint64).max
 # Independent local-search starts for the repulsive heuristic; single starts
 # land in sub-optimal 1-swap local optima on roughly a third of instances.
 RESTARTS = 8
@@ -118,25 +116,30 @@ def greedy_assignment(realization: NetworkRealization, cfg: SimConfig, seed) -> 
     return PilotAssignment(labels)
 
 
-def _cluster_sums(columns, labels, runs, clusters, short, slots):
-    """Each UE's summed dissimilarity to cluster ``clusters[t]`` of start ``runs[t]``.
+def _member_table(labels, num_pilots):
+    """Each row's clusters, members ascending: ``table[r, c, s]`` is slot s of cluster c.
 
-    ``columns[j]`` is column j of the dissimilarity matrix, and its last row
-    is zeros. Members are added one at a time in ascending index order. That
-    is the order in which numpy reduces ``scores[:, members].sum(axis=1)``,
-    because fancy indexing lays that array out column-major. A cluster that
-    is ``short`` of ``slots`` members adds the zero row last, which leaves
-    its sum unchanged.
+    There are ceil(K / num_pilots) slots. A cluster with fewer members fills
+    its last slot with K, an index past every UE.
     """
-    k = labels.shape[1]
-    member = np.empty((runs.size, k + 1), dtype=bool)
-    np.equal(labels[runs], clusters[:, None], out=member[:, :k])
-    member[:, k] = short[clusters]
-    gathered = columns[np.nonzero(member)[1].reshape(runs.size, slots)]
-    total = gathered[:, 0].copy()
-    for slot in range(1, slots):
-        total += gathered[:, slot]
-    return total
+    count, k = labels.shape
+    below = np.tri(k, k, -1, dtype=bool)            # below[u, v]: v < u
+    slot = ((labels[:, :, None] == labels[:, None, :]) & below).sum(axis=2)
+    table = np.full((count, num_pilots, -(-k // num_pilots)), k)
+    table[np.arange(count)[:, None], labels, slot] = np.arange(k)
+    return table
+
+
+def _slot_sums(columns, table):
+    """``columns[table[..., 0]] + columns[table[..., 1]] + ...``, one slot at a time.
+
+    numpy sums pairwise only along the last, contiguous axis, and adds the
+    slots here one after another. With ascending members that is the order in
+    which it reduces ``scores[:, members].sum(axis=1)``, because fancy
+    indexing lays that array out column-major. The zero row ``columns[K]`` of
+    an empty slot, added last, leaves a sum unchanged.
+    """
+    return columns.take(table, axis=0).sum(axis=-2)
 
 
 def _lockstep_search(scores, starts, num_pilots):
@@ -145,80 +148,77 @@ def _lockstep_search(scores, starts, num_pilots):
     Each start sweeps cluster pairs lexicographically until a full sweep
     accepts no swap. Within a pair, the first improving swap in UE index
     order is applied and the pair is re-scanned until none is left. A scan
-    that accepts nothing leaves the state unchanged, so each iteration
-    evaluates the gains of every cross-cluster swap of every live start as
-    one (starts, K, K) stack. Each start then applies the first improving
-    swap, in (pair code, u, w) order, at or after the pair it is on, and
-    wraps around to pair 0 when none is left ahead. A start ends when it
-    holds no improving swap at all. Per-cluster sums are refreshed only for
-    the two clusters a swap touches, with the arithmetic of a fresh sum, and
-    each gain is the same elementwise expression as a single-start scan, so
+    that accepts nothing leaves the state unchanged, so each iteration scores
+    the swaps of every pair a < b of every live start as one (slots, slots,
+    starts, pairs) stack, and each start applies the first improving swap of
+    its first improving pair at or after its current one, wrapping around to
+    pair 0. A start ends when it holds no improving swap. Members sit in
+    ascending slots (:func:`_member_table`), so the row-major (slot of u, slot
+    of w) order of a pair's block is a single-start scan's (u, w) order. With
+    T[i, c] UE i's summed dissimilarity to cluster c, a gain is
+    ((T[w, a] - T[u, a]) + T[u, b]) - T[w, b] - 2 d(u, w), that scan's
+    expression in its order; d is infinite at an empty slot. After a swap
+    both clusters are re-sorted and their sums recomputed as fresh sums, so
     every decision matches that scan bit for bit.
     """
-    labels = starts.astype(np.int64)
-    final = np.empty_like(labels)
-    count, k = labels.shape
-    extra = k % num_pilots                  # clusters below `extra` hold one UE more
-    slots = k // num_pilots + (extra > 0)
-    short = (np.arange(num_pilots) >= extra) & (extra > 0)
-    columns = np.zeros((k + 1, k))
-    columns[:k] = scores.T
-    twice = 2.0 * scores
+    count, k = starts.shape
+    pairs = np.array(list(itertools.combinations(range(num_pilots), 2)), dtype=int).reshape(-1, 2)
+    num_pairs = len(pairs)
+    table = _member_table(starts, num_pilots)
+    slots = table.shape[2]
+    columns = np.zeros((k + 1, k + 1))
+    columns[:k, :k] = scores.T
+    sums = _slot_sums(columns, table)
+    twice = np.full((k + 1, k + 1), np.inf)
+    twice[:k, :k] = 2.0 * scores
     tolerance = SWAP_TOLERANCE * scores.max()
-    square = k * k
-    ue = np.arange(k)
-    # Work arrays for the live starts; rows of finished starts are dropped.
-    toward = np.empty((count, k, k))        # toward[r, u, w]: w's sum over u's cluster
-    gains = np.empty((count, k, k))
-    idles = np.empty((count, k, k), dtype=bool)
-    ordered = np.empty((count, k, k), dtype=bool)
-    keys = np.empty((count, k, k), dtype=np.uint64)
-    sums = np.empty((count, num_pilots, k))  # sums[r, c, i]: UE i's sum over cluster c
-    runs = np.repeat(np.arange(count), num_pilots)
-    clusters = np.tile(np.arange(num_pilots), count)
-    sums[runs, clusters] = _cluster_sums(columns, labels, runs, clusters, short, slots)
-    live = np.arange(count)
-    code = np.zeros(count, dtype=np.int64)  # pair code first * num_pilots + second
+    # Flat indices, the same for the first n starts while starts drop out: the
+    # members u, u, w, w of every slot and pair, the sums T[u, a], T[u, b],
+    # T[w, a], T[w, b] they read, and from each stack position r * num_pairs +
+    # pair, the positions of start r from that pair on.
+    runs = np.arange(count)
+    at_member = ((runs[:, None] * num_pilots + pairs[:, [0, 0, 1, 1]].T[:, None]) * slots
+                 + np.arange(slots)[:, None, None, None])
+    at_sum = (runs[:, None] * num_pilots + pairs[:, [0, 1, 0, 1]].T[:, None]) * (k + 1)
+    cyclic = (np.arange(num_pairs)[:, None] + np.arange(num_pairs)) % num_pairs
+    rotation = (runs[:, None, None] * num_pairs + cyclic).reshape(count * num_pairs, num_pairs)
+    pair_at = np.tile(pairs, (count, 1))
+    final = table.copy()
+    live = np.arange(count if num_pairs else 0)
+    rows, current = live, runs * num_pairs
     while live.size:
         n = live.size
-        rows = np.arange(n)
-        at, gain, idle, key = toward[:n], gains[:n], idles[:n], keys[:n]
-        np.take(sums[:n].reshape(n * num_pilots, k), labels + (rows * num_pilots)[:, None],
-                axis=0, out=at)
-        own = at.diagonal(axis1=1, axis2=2)
-        np.subtract(at, own[:, :, None], out=gain)
-        gain += at.transpose(0, 2, 1)
-        gain -= own[:, None, :]
-        gain -= twice
-        # idle[r, u, w]: swapping u and w does not improve, or u's cluster is not below w's.
-        np.greater(gain, tolerance, out=idle)
-        idle &= np.less(labels[:, :, None], labels[:, None, :], out=ordered[:n])
-        np.logical_not(idle, out=idle)
-        # key = (pair code - code) * K^2 + u * K + w, modulo 2^64: the smallest
-        # is the first improving swap at or after `code`, else the first behind it.
-        # u == w never improves, so no such key equals _NO_SWAP.
-        lead = labels * (num_pilots * square) + ue * k - (code * square)[:, None]
-        trail = labels * square + ue
-        np.add(lead.view(np.uint64)[:, :, None], trail.view(np.uint64)[:, None, :], out=key)
-        np.putmask(key, idle, _NO_SWAP)
-        flat = key.reshape(n, square)
-        pos = flat.argmin(axis=1)
-        found = flat[rows, pos] != _NO_SWAP
+        member = table.take(at_member[:, :, :n])                  # [slot, u/u/w/w, r, pair]
+        ends = sums.take(member + at_sum[:, :n])
+        gain = np.subtract(ends[None, :, 2], ends[:, None, 0])     # [slot of u, slot of w, r, pair]
+        gain += ends[:, None, 1]
+        gain -= ends[None, :, 3]
+        gain -= twice.take(np.multiply(member[:, 0], k + 1)[:, None] + member[None, :, 3])
+        better = np.greater(gain, tolerance).reshape(slots * slots, n * num_pairs)
+        ahead_at = rotation[current]
+        ahead = better.any(axis=0).take(ahead_at)
+        step = ahead.argmax(axis=1)
+        found = ahead[rows, step]
+        chosen = ahead_at[rows, step]
+        cell = better.take(chosen, axis=1).argmax(axis=0)
+        touched = pair_at[chosen]
         if not found.all():
-            final[live[~found]] = labels[~found]
-            live, labels, pos = live[found], labels[found], pos[found]
-            sums[:live.size] = sums[:n][found]
-            n = live.size
-            if not n:
-                break
-            rows = np.arange(n)
-        u, w = np.divmod(pos, k)
-        first, second = labels[rows, u], labels[rows, w]
-        code = first * num_pilots + second
-        labels[rows, u], labels[rows, w] = second, first
-        runs, clusters = np.concatenate([rows, rows]), np.concatenate([first, second])
-        sums[runs, clusters] = _cluster_sums(columns, labels, runs, clusters, short, slots)
-    return final
+            final[live[~found]] = table[~found]
+            keep = np.flatnonzero(found)
+            live, table, sums = live[keep], table[keep], sums[keep]
+            rows = np.arange(live.size)
+            cell, touched = cell[keep], touched[keep]
+            chosen = chosen[keep] + (rows - keep) * num_pairs
+        i, j = np.divmod(cell, slots)
+        block = table[rows[:, None], touched]
+        block[rows, 0, i], block[rows, 1, j] = block[rows, 1, j], block[rows, 0, i]
+        block.sort(axis=2)
+        table[rows[:, None], touched] = block
+        sums[rows[:, None], touched] = _slot_sums(columns, block)
+        current = chosen
+    labels = np.empty((count, k + 1), dtype=np.int64)
+    labels[runs[:, None, None], final] = np.arange(num_pilots)[:, None]
+    return labels[:, :k]
 
 
 def _check_fillable(num_ues, num_pilots):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpilot.assignment import (_SCREEN_MARGIN, _TABLE_CHUNK, RESTARTS, _cluster_sums,
-                                _group_rate_table, _lockstep_search, _mask_labels,
-                                _near_maximal, _partition_masks, _subset_dissimilarity, assign,
+from cfpilot.assignment import (_SCREEN_MARGIN, _TABLE_CHUNK, RESTARTS, _group_rate_table,
+                                _lockstep_search, _mask_labels, _member_table, _near_maximal,
+                                _partition_masks, _slot_sums, _subset_dissimilarity, assign,
                                 cluster_objective, exhaustive_sum_rate,
                                 greedy_assignment, group_size_bounds, optimal_repulsive,
                                 oracle_assignment, pairwise_distance, random_assignment,
@@ -146,22 +146,23 @@ def test_cluster_sums_equal_fresh_sums_bit_for_bit(k, tp):
     # numpy and would round differently from the column-by-column fresh sum.
     scores = pairwise_distance(np.random.default_rng(k + tp).uniform(0, 1000, size=(k, 2)))
     starts = random_starts(k, tp, 11)
-    columns = np.vstack([scores.T, np.zeros(k)])
-    slots = -(-k // tp)
-    short = np.bincount(starts[0], minlength=tp) < slots
-    runs = np.repeat(np.arange(RESTARTS), tp)
-    clusters = np.tile(np.arange(tp), RESTARTS)
-    sums = _cluster_sums(columns, starts, runs, clusters, short, slots)
-    for run, cluster, total in zip(runs, clusters, sums):
-        assert total.tolist() == cluster_sums(scores, starts[run], cluster).tolist()
+    columns = np.zeros((k + 1, k + 1))
+    columns[:k, :k] = scores.T
+    sums = _slot_sums(columns, _member_table(starts, tp))
+    for run, cluster in itertools.product(range(RESTARTS), range(tp)):
+        total = sums[run, cluster]
+        assert total[k] == 0.0
+        assert total[:k].tolist() == cluster_sums(scores, starts[run], cluster).tolist()
 
 
 @pytest.mark.parametrize("m,k,tp,count", [
     (100, 40, 10, 15),
     (50, 12, 3, 40),
-    (50, 13, 3, 40),   # unequal cluster sizes: 5, 4, 4
-    (100, 40, 4, 6),   # ten members per cluster
-    (50, 10, 10, 10),  # singleton clusters
+    (50, 13, 3, 40),    # unequal cluster sizes: 5, 4, 4
+    (100, 40, 4, 6),    # ten members per cluster
+    (50, 10, 10, 10),   # singleton clusters
+    (100, 41, 10, 10),  # one cluster of 5 beside nine of 4
+    (100, 40, 1, 2),    # one cluster: no pair to swap across
 ])
 def test_lockstep_matches_reference_restart_loop(m, k, tp, count):
     for i in range(count):
