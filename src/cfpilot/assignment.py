@@ -162,7 +162,7 @@ def _lockstep_search(scores, starts, num_pilots):
     every decision matches that scan bit for bit.
     """
     count, k = starts.shape
-    pairs = np.array(list(itertools.combinations(range(num_pilots), 2)), dtype=int).reshape(-1, 2)
+    pairs = np.transpose(np.triu_indices(num_pilots, 1))           # a < b, lexicographic
     num_pairs = len(pairs)
     table = _member_table(starts, num_pilots)
     slots = table.shape[2]
@@ -174,18 +174,15 @@ def _lockstep_search(scores, starts, num_pilots):
     tolerance = SWAP_TOLERANCE * scores.max()
     # Flat indices, the same for the first n starts while starts drop out: the
     # members u, u, w, w of every slot and pair, the sums T[u, a], T[u, b],
-    # T[w, a], T[w, b] they read, and from each stack position r * num_pairs +
-    # pair, the positions of start r from that pair on.
+    # T[w, a], T[w, b] they read, and each start's first stack column.
     runs = np.arange(count)
     at_member = ((runs[:, None] * num_pilots + pairs[:, [0, 0, 1, 1]].T[:, None]) * slots
                  + np.arange(slots)[:, None, None, None])
     at_sum = (runs[:, None] * num_pilots + pairs[:, [0, 1, 0, 1]].T[:, None]) * (k + 1)
-    cyclic = (np.arange(num_pairs)[:, None] + np.arange(num_pairs)) % num_pairs
-    rotation = (runs[:, None, None] * num_pairs + cyclic).reshape(count * num_pairs, num_pairs)
-    pair_at = np.tile(pairs, (count, 1))
+    first, pair = runs * num_pairs, np.arange(num_pairs)
     final = table.copy()
     live = np.arange(count if num_pairs else 0)
-    rows, current = live, runs * num_pairs
+    rows, current = live, np.zeros(count, dtype=int)
     while live.size:
         n = live.size
         member = table.take(at_member[:, :, :n])                  # [slot, u/u/w/w, r, pair]
@@ -195,27 +192,26 @@ def _lockstep_search(scores, starts, num_pilots):
         gain -= ends[None, :, 3]
         gain -= twice.take(np.multiply(member[:, 0], k + 1)[:, None] + member[None, :, 3])
         better = np.greater(gain, tolerance).reshape(slots * slots, n * num_pairs)
-        ahead_at = rotation[current]
-        ahead = better.any(axis=0).take(ahead_at)
-        step = ahead.argmax(axis=1)
-        found = ahead[rows, step]
-        chosen = ahead_at[rows, step]
-        cell = better.take(chosen, axis=1).argmax(axis=0)
-        touched = pair_at[chosen]
+        hit = better.any(axis=0).reshape(n, num_pairs)
+        # 2 at an improving pair at or after the start's current pair, 1 at one
+        # before it, 0 elsewhere: the first largest is the next pair, wrapping around.
+        order = hit.view(np.int8) + (hit & (pair >= current[:, None]))
+        current = order.argmax(axis=1)
+        found = hit[rows, current]
+        cell = better.take(first[:n] + current, axis=1).argmax(axis=0)
         if not found.all():
             final[live[~found]] = table[~found]
             keep = np.flatnonzero(found)
             live, table, sums = live[keep], table[keep], sums[keep]
             rows = np.arange(live.size)
-            cell, touched = cell[keep], touched[keep]
-            chosen = chosen[keep] + (rows - keep) * num_pairs
+            cell, current = cell[keep], current[keep]
+        touched = pairs[current]
         i, j = np.divmod(cell, slots)
         block = table[rows[:, None], touched]
         block[rows, 0, i], block[rows, 1, j] = block[rows, 1, j], block[rows, 0, i]
         block.sort(axis=2)
         table[rows[:, None], touched] = block
         sums[rows[:, None], touched] = _slot_sums(columns, block)
-        current = chosen
     labels = np.empty((count, k + 1), dtype=np.int64)
     labels[runs[:, None, None], final] = np.arange(num_pilots)[:, None]
     return labels[:, :k]
