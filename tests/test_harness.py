@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from cfpilot.chanest import estimation_quality
 from cfpilot.config import ExperimentConfig, SimConfig
 from cfpilot.errors import BudgetExceededError, ConfigError
 from cfpilot.harness import (CSV_HEADER, ThroughputRecord, empirical_cdf, ks_distance,
-                             config_from_values, parse_config_text, percentile, read_records,
-                             run_experiment, run_sweep, strategy_seed, throughput_by_strategy,
+                             config_from_values, load_config, parse_config_text, percentile,
+                             read_records, run_experiment, run_sweep, strategy_seed,
+                             throughput_by_strategy,
                              write_records, write_sweep)
 from cfpilot.power_control import full_power, max_min_power
 from cfpilot.rate_model import rate_report
@@ -290,12 +293,98 @@ def test_parse_config_text():
 
 @pytest.mark.parametrize("line,message", [
     ("nonsense_key = 3", "unknown key"),
+    ("sim = 1", "unknown key"),
     ("num_aps = many", "bad value"),
     ("num_aps 6", "expected"),
 ])
 def test_parse_config_errors(line, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_text(line)
+
+
+# Every config key: a literal as written in a config file and the value it parses to.
+FIELD_LITERALS = {
+    "num_aps": ("7", 7),
+    "num_ues": ("5", 5),
+    "num_pilots": ("3", 3),
+    "area_side": ("250.5", 250.5),
+    "coherence_len": ("150", 150),
+    "bandwidth": ("1e7", 1e7),
+    "pilot_tx_power": ("0.2", 0.2),
+    "uplink_tx_power": ("5e-2", 0.05),
+    "noise_figure": ("4.5", 4.5),
+    "noise_temp": ("300", 300.0),
+    "boltzmann": ("1.38e-23", 1.38e-23),
+    "shadowing_sigma": ("0", 0.0),
+    "realizations": ("12", 12),
+    "seed": ("-4", -4),
+    "strategies": ("greedy , oracle,", ("greedy", "oracle")),
+    "power_policy": ("full", "full"),
+    "sweep_var": ("num_ues", "num_ues"),
+    "sweep_values": (" 4,8 , ", (4, 8)),
+    "output_path": ("out dir/r.csv", "out dir/r.csv"),
+}
+
+
+def test_every_config_field_parses_to_its_typed_value():
+    names = [f.name for f in fields(SimConfig) + fields(ExperimentConfig) if f.name != "sim"]
+    assert sorted(FIELD_LITERALS) == sorted(names)
+    for name, (literal, expected) in FIELD_LITERALS.items():
+        value = parse_config_text(f"{name} = {literal}")[name]
+        assert value == expected and type(value) is type(expected), name
+    text = "\n".join(f"{name} = {literal}" for name, (literal, _) in FIELD_LITERALS.items())
+    cfg = config_from_values(parse_config_text(text))
+    built = {**asdict(cfg), **asdict(cfg.sim)}
+    assert all(built[name] == expected for name, (_, expected) in FIELD_LITERALS.items())
+
+
+def _sim(num_aps, num_ues, num_pilots, realizations):
+    return SimConfig(num_aps=num_aps, num_ues=num_ues, num_pilots=num_pilots, area_side=1000.0,
+                     coherence_len=200, bandwidth=20000000.0, pilot_tx_power=0.1,
+                     uplink_tx_power=0.1, noise_figure=9.0, noise_temp=290.0,
+                     boltzmann=1.381e-23, shadowing_sigma=4.0, realizations=realizations,
+                     seed=2022)
+
+
+MAIN_FOUR = ("random", "greedy", "repulsive", "oracle")
+ALL_SIX = ("random", "greedy", "repulsive", "optimal-repulsive", "exhaustive", "oracle")
+SHIPPED_CONFIGS = {
+    "configs/ap_density_sweep.cfg": ExperimentConfig(
+        sim=_sim(100, 40, 10, 200), strategies=MAIN_FOUR, power_policy="maxmin",
+        sweep_var="num_aps", sweep_values=(100, 200, 300), output_path="sweep_num_aps.csv"),
+    "configs/pilot_count_sweep.cfg": ExperimentConfig(
+        sim=_sim(100, 40, 10, 200), strategies=("repulsive",), power_policy="maxmin",
+        sweep_var="num_pilots", sweep_values=(5, 8, 10, 13, 16, 20),
+        output_path="sweep_num_pilots.csv"),
+    "configs/small_scale.cfg": ExperimentConfig(
+        sim=_sim(50, 12, 3, 100), strategies=ALL_SIX, power_policy="maxmin",
+        sweep_var=None, sweep_values=(), output_path="records_small.csv"),
+    "configs/table_m100.cfg": ExperimentConfig(
+        sim=_sim(100, 40, 10, 200), strategies=MAIN_FOUR, power_policy="maxmin",
+        sweep_var=None, sweep_values=(), output_path="records_m100.csv"),
+    "bench/configs/dense_sweep.cfg": ExperimentConfig(
+        sim=_sim(100, 40, 10, 40), strategies=("random", "greedy", "oracle"),
+        power_policy="maxmin", sweep_var="num_aps", sweep_values=(100, 200, 300),
+        output_path=None),
+    "bench/configs/exact_small.cfg": ExperimentConfig(
+        sim=_sim(50, 12, 3, 4), strategies=ALL_SIX, power_policy="maxmin",
+        sweep_var=None, sweep_values=(), output_path=None),
+    "bench/configs/main_m100.cfg": ExperimentConfig(
+        sim=_sim(100, 40, 10, 10), strategies=MAIN_FOUR, power_policy="maxmin",
+        sweep_var=None, sweep_values=(), output_path=None),
+}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_shipped_config_is_listed():
+    shipped = {path.relative_to(ROOT).as_posix()
+               for pattern in ("configs/*.cfg", "bench/configs/*.cfg") for path in ROOT.glob(pattern)}
+    assert shipped == set(SHIPPED_CONFIGS)
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_CONFIGS))
+def test_shipped_config_loads_to_its_experiment(path):
+    assert load_config(ROOT / path) == SHIPPED_CONFIGS[path]
 
 
 def test_config_requires_core_keys():
