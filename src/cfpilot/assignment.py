@@ -159,9 +159,13 @@ def _lockstep_search(scores, starts, num_pilots):
     ((T[w, a] - T[u, a]) + T[u, b]) - T[w, b] - 2 d(u, w), that scan's
     expression in its order; d is infinite at an empty slot. After a swap
     both clusters are re-sorted and their sums recomputed as fresh sums, so
-    every decision matches that scan bit for bit.
+    every decision matches that scan bit for bit. With one UE per cluster
+    every gain is (d(u, w) + d(u, w)) - 2 d(u, w) = 0 exactly, and with one
+    cluster there is no pair, so no swap is ever taken: the starts are final.
     """
     count, k = starts.shape
+    if k <= num_pilots or num_pilots == 1:
+        return starts
     pairs = np.transpose(np.triu_indices(num_pilots, 1))           # a < b, lexicographic
     num_pairs = len(pairs)
     table = _member_table(starts, num_pilots)
@@ -181,7 +185,7 @@ def _lockstep_search(scores, starts, num_pilots):
     at_sum = (runs[:, None] * num_pilots + pairs[:, [0, 1, 0, 1]].T[:, None]) * (k + 1)
     first, pair = runs * num_pairs, np.arange(num_pairs)
     final = table.copy()
-    live = np.arange(count if num_pairs else 0)
+    live = np.arange(count)
     rows, current = live, np.zeros(count, dtype=int)
     while live.size:
         n = live.size

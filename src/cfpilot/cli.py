@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import SWEEP_VARIABLES
 from .errors import BudgetExceededError, ConfigError
-from .harness import (PERCENTILE_NOTE, load_config, percentile, read_records,
+from .harness import (KEY_PARSERS, PERCENTILE_NOTE, load_config, percentile, read_records,
                       run_experiment, run_sweep, throughput_by_strategy,
                       write_records, write_sweep)
 
@@ -53,8 +53,7 @@ def _apply_overrides(cfg, args):
         sim = replace(sim, seed=args.seed)
     cfg = replace(cfg, sim=sim)
     if getattr(args, "strategies", None):
-        names = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-        cfg = replace(cfg, strategies=names)
+        cfg = replace(cfg, strategies=KEY_PARSERS["strategies"](args.strategies))
     return cfg
 
 
@@ -101,7 +100,7 @@ def _cmd_sweep(args):
         cfg = replace(cfg, sweep_var=args.var)
     if args.values is not None:
         try:
-            values = tuple(int(v) for v in args.values.split(",") if v.strip())
+            values = KEY_PARSERS["sweep_values"](args.values)
         except ValueError as exc:
             raise ConfigError(f"bad --values list: {args.values!r}") from exc
         cfg = replace(cfg, sweep_values=values)

@@ -9,7 +9,7 @@ for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -254,11 +254,16 @@ def write_sweep(rows, path):
 
 
 # Flat key = value config files; '#' starts a comment, lists are comma separated.
-_INT_KEYS = ("num_aps", "num_ues", "num_pilots", "coherence_len", "realizations", "seed")
-_FLOAT_KEYS = ("area_side", "bandwidth", "pilot_tx_power", "uplink_tx_power",
-               "noise_figure", "noise_temp", "boltzmann", "shadowing_sigma")
-_STR_KEYS = ("power_policy", "output_path", "sweep_var")
-_REQUIRED_KEYS = ("num_aps", "num_ues", "num_pilots")
+# The keys are the fields of SimConfig and ExperimentConfig except ``sim``, each
+# parsed by its declared type (a string: config.py defers annotations).
+_TYPE_PARSERS = {
+    "int": int, "float": float, "str": str, "str | None": str,
+    "tuple[str, ...]": lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
+    "tuple[int, ...]": lambda text: tuple(int(s) for s in text.split(",") if s.strip()),
+}
+KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(SimConfig) + fields(ExperimentConfig)
+               if f.name != "sim"}
+_SIM_KEYS = {f.name for f in fields(SimConfig)}
 
 
 def parse_config_text(text) -> dict:
@@ -273,32 +278,22 @@ def parse_config_text(text) -> dict:
         key, _, literal = line.partition("=")
         key = key.strip()
         literal = literal.strip()
-        known = set(_INT_KEYS) | set(_FLOAT_KEYS) | set(_STR_KEYS) | {"strategies", "sweep_values"}
-        if key not in known:
+        if key not in KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(literal)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(literal)
-            elif key in _STR_KEYS:
-                values[key] = literal
-            elif key == "strategies":
-                values[key] = tuple(s.strip() for s in literal.split(",") if s.strip())
-            else:
-                values[key] = tuple(int(s) for s in literal.split(",") if s.strip())
+            values[key] = KEY_PARSERS[key](literal)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {literal!r}") from exc
     return values
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    missing = [key for key in _REQUIRED_KEYS if key not in values]
+    missing = [f.name for f in fields(SimConfig)
+               if f.default is MISSING and f.default_factory is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    sim_keys = set(_INT_KEYS) | set(_FLOAT_KEYS)
-    sim = SimConfig(**{k: v for k, v in values.items() if k in sim_keys})
-    extra = {k: v for k, v in values.items() if k not in sim_keys}
+    sim = SimConfig(**{k: v for k, v in values.items() if k in _SIM_KEYS})
+    extra = {k: v for k, v in values.items() if k not in _SIM_KEYS}
     return ExperimentConfig(sim=sim, **extra)
 
 

@@ -163,7 +163,7 @@ def test_cluster_sums_equal_fresh_sums_bit_for_bit(k, tp):
     (50, 10, 10, 10),   # singleton clusters
     (100, 41, 10, 10),  # one cluster of 5 beside nine of 4
     (100, 40, 1, 2),    # one cluster: no pair to swap across
-    (50, 60, 60, 2),    # 1,770 cluster pairs
+    (50, 61, 60, 2),    # 1,770 cluster pairs, one of them with two members
 ])
 def test_lockstep_matches_reference_restart_loop(m, k, tp, count):
     for i in range(count):
@@ -550,13 +550,17 @@ def test_warm_exact_searches_allocate_little():
     assert traced_peak(lambda: optimal_repulsive(real.ue_positions, 3)) < 300_000
 
 
-def test_repulsive_memory_grows_with_pairs_not_their_square():
-    # 1,770 cluster pairs: a per-pair table of every pair's successors would
-    # take about 230 MB here.
-    cfg = SimConfig(num_aps=50, num_ues=60, num_pilots=60, seed=2022)
+@pytest.mark.parametrize("k,tp,bound", [
+    (61, 60, 8_000_000),     # 1,770 cluster pairs
+    (100, 100, 1_000_000),   # one UE per cluster: no swap to make, so no search
+])
+def test_repulsive_memory_grows_with_pairs_not_their_square(k, tp, bound):
+    # A per-pair table of every pair's successors would take about 230 MB at
+    # 1,770 pairs.
+    cfg = SimConfig(num_aps=50, num_ues=k, num_pilots=tp, seed=2022)
     feats = generate_realization(cfg, 0).ue_positions
-    repulsive_heuristic(feats, 60)
-    assert traced_peak(lambda: repulsive_heuristic(feats, 60)) < 8_000_000
+    repulsive_heuristic(feats, tp)
+    assert traced_peak(lambda: repulsive_heuristic(feats, tp)) < bound
 
 
 def test_oracle_assignment_flag():
