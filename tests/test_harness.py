@@ -17,8 +17,7 @@ from cfpilot.errors import BudgetExceededError, ConfigError
 from cfpilot.harness import (CSV_HEADER, ThroughputRecord, empirical_cdf, ks_distance,
                              config_from_values, load_config, parse_config_text, percentile,
                              read_records, run_experiment, run_sweep, strategy_seed,
-                             throughput_by_strategy,
-                             write_records, write_sweep)
+                             throughput_by_strategy, write_records, write_sweep)
 from cfpilot.power_control import full_power, max_min_power
 from cfpilot.rate_model import rate_report
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
