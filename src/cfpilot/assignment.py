@@ -267,14 +267,15 @@ def _partition_masks(num_ues, num_groups, low, extra):
     hold ``low + 1``; no group grows past that. With ``num_groups`` groups of
     at least one member each, the rows are then exactly the partitions with
     ``extra`` groups of ``low + 1`` and the rest of ``low``, and no partial
-    row is a dead end. Masks take the smallest integer dtype that holds K
-    bits (int16 up to K = 15). Group sizes are read from a 2^K popcount
-    table, so the masks are the only rows kept, and each UE's rows are
-    written once into an array of their exact count: the build's transient
-    stays near 3x the finished table. Filled on first use per key (the
-    exact searches' guards bound the keys) and read-only.
+    row is a dead end. Masks are int16 up to K = 15 and int32 above: the
+    guards cap K at 20 for exhaustive (``num_pilots ** K`` within
+    ``EXHAUSTIVE_BUDGET`` with at least 2 pilots) and at 12 for
+    optimal-repulsive. Group sizes are read from a 2^K popcount table, so
+    the masks are the only rows kept, and each UE's rows are written once
+    into an array of their exact count: the build's transient stays near 3x
+    the finished table. Filled on first use per key and read-only.
     """
-    dtype = np.int16 if num_ues <= 15 else np.int32 if num_ues <= 31 else np.int64
+    dtype = np.int16 if num_ues <= 15 else np.int32
     members = np.zeros(1 << num_ues, dtype=np.int8)     # members[mask]: set bits of mask
     for ue in range(num_ues):
         members[1 << ue:2 << ue] = members[:1 << ue] + 1

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import SWEEP_VARIABLES
 from .errors import BudgetExceededError, ConfigError
 from .harness import (KEY_PARSERS, PERCENTILE_NOTE, load_config, percentile, read_records,
                       run_experiment, run_sweep, throughput_by_strategy,
@@ -23,15 +21,16 @@ from .harness import (KEY_PARSERS, PERCENTILE_NOTE, load_config, percentile, rea
 
 
 def _build_parser():
+    # Flags other than --config, --in and --percentile store raw text under a config key.
     parser = argparse.ArgumentParser(prog="cfpilot",
                                      description="Uplink pilot-assignment simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the experiment described by a config file")
     run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--strategies", default=None, help="comma-separated strategy names")
-    run.add_argument("--out", default=None, help="records CSV path (default: config output_path)")
+    run.add_argument("--seed", help="override the config seed")
+    run.add_argument("--strategies", help="comma-separated strategy names")
+    run.add_argument("--out", dest="output_path", help="records CSV path (default: config output_path)")
 
     stats = sub.add_parser("stats", help="per-strategy percentile of a records CSV")
     stats.add_argument("--in", dest="infile", required=True)
@@ -39,26 +38,20 @@ def _build_parser():
 
     sweep = sub.add_parser("sweep", help="sweep one variable and write aggregated stats")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--var", choices=SWEEP_VARIABLES, default=None)
-    sweep.add_argument("--values", default=None, help="comma-separated positive integers")
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--var", dest="sweep_var", help="num_aps, num_ues or num_pilots")
+    sweep.add_argument("--values", dest="sweep_values", help="comma-separated positive integers")
+    sweep.add_argument("--seed")
     sweep.add_argument("--percentile", type=float, default=95.0)
-    sweep.add_argument("--out", default=None, help="stats CSV path (default: config output_path)")
+    sweep.add_argument("--out", dest="output_path", help="stats CSV path (default: config output_path)")
     return parser
 
 
-def _apply_overrides(cfg, args):
-    sim = cfg.sim
-    if getattr(args, "seed", None) is not None:
-        sim = replace(sim, seed=args.seed)
-    cfg = replace(cfg, sim=sim)
-    if getattr(args, "strategies", None):
-        cfg = replace(cfg, strategies=KEY_PARSERS["strategies"](args.strategies))
-    return cfg
-
-
-def _output_path(cfg, args):
-    path = args.out if args.out else cfg.output_path
+def _config_and_output(args):
+    """The file's config with each given flag in place of its key, and its checked output path."""
+    overrides = {key: text for key, text in vars(args).items()
+                 if key in KEY_PARSERS and text is not None}
+    cfg = load_config(args.config, overrides)
+    path = cfg.output_path
     if not path:
         raise ConfigError("no output path: pass --out or set output_path in the config")
     parent = Path(path).parent
@@ -66,7 +59,7 @@ def _output_path(cfg, args):
         raise ConfigError(f"output directory {str(parent)!r} does not exist")
     if Path(path).is_dir():
         raise ConfigError(f"output path {path!r} is a directory")
-    return path
+    return cfg, path
 
 
 def _fraction(percent):
@@ -76,8 +69,7 @@ def _fraction(percent):
 
 
 def _cmd_run(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    out = _output_path(cfg, args)
+    cfg, out = _config_and_output(args)
     write_records(run_experiment(cfg), out)
     return 0
 
@@ -95,16 +87,7 @@ def _cmd_stats(args):
 
 
 def _cmd_sweep(args):
-    cfg = _apply_overrides(load_config(args.config), args)
-    if args.var is not None:
-        cfg = replace(cfg, sweep_var=args.var)
-    if args.values is not None:
-        try:
-            values = KEY_PARSERS["sweep_values"](args.values)
-        except ValueError as exc:
-            raise ConfigError(f"bad --values list: {args.values!r}") from exc
-        cfg = replace(cfg, sweep_values=values)
-    out = _output_path(cfg, args)
+    cfg, out = _config_and_output(args)
     write_sweep(run_sweep(cfg, q=_fraction(args.percentile)), out)
     return 0
 

@@ -96,5 +96,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown power policy {self.power_policy!r}; known: {', '.join(POLICY_NAMES)}")
         if self.sweep_var is not None and self.sweep_var not in SWEEP_VARIABLES:
             raise ConfigError(f"sweep variable must be one of {', '.join(SWEEP_VARIABLES)}")
-        if any(int(v) < 1 for v in self.sweep_values):
-            raise ConfigError("sweep values must be positive")
+        for value in self.sweep_values:
+            if int(value) < 1:
+                raise ConfigError("sweep values must be positive")
+            if self.sweep_values.count(value) > 1:
+                raise ConfigError(f"sweep value {value} is listed more than once")

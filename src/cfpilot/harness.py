@@ -22,13 +22,12 @@ from .config import STRATEGY_NAMES, ExperimentConfig, SimConfig
 from .errors import BudgetExceededError, ConfigError
 from .power_control import full_power, max_min_powers, power_problem
 from .rate_model import sinr_terms, terms_report
-from .topology import generate_realization, pilot_snr, uplink_snr
+from .topology import _SEED_MASK, generate_realization, pilot_snr, uplink_snr
 
 CSV_HEADER = "realization,strategy,ue,sinr,throughput_bps"
 SWEEP_HEADER = "variable,value,strategy,n,percentile,throughput_bps"
 PERCENTILE_NOTE = "# percentile method: nearest-rank (the ceil(q*N)-th smallest sample)"
 
-_SEED_MASK = (1 << 64) - 1
 # Realizations per lock-step chunk: about 256 KB per stacked (K, K) array of the chunk.
 _CHUNK_BYTES = 1 << 18
 _STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGY_NAMES)}
@@ -266,6 +265,17 @@ KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(SimConfig) + fields
 _SIM_KEYS = {f.name for f in fields(SimConfig)}
 
 
+def _parse_value(key, literal, where):
+    """One key's text parsed by its field's type; ``where`` prefixes the error."""
+    if key not in KEY_PARSERS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    literal = literal.strip()
+    try:
+        return KEY_PARSERS[key](literal)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {literal!r}") from exc
+
+
 def parse_config_text(text) -> dict:
     """Parse flat ``key = value`` text into a typed dictionary."""
     values = {}
@@ -277,13 +287,7 @@ def parse_config_text(text) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, literal = line.partition("=")
         key = key.strip()
-        literal = literal.strip()
-        if key not in KEY_PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = KEY_PARSERS[key](literal)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {literal!r}") from exc
+        values[key] = _parse_value(key, literal, f"line {lineno}")
     return values
 
 
@@ -297,10 +301,17 @@ def config_from_values(values: dict) -> ExperimentConfig:
     return ExperimentConfig(sim=sim, **extra)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load an experiment config from a flat key = value file."""
+def load_config(path, overrides=None) -> ExperimentConfig:
+    """Load an experiment config from a flat key = value file.
+
+    ``overrides`` maps keys to raw text, parsed like the key's file line, that
+    replaces the file's values; the effective config is validated once.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return config_from_values(parse_config_text(text))
+    values = parse_config_text(text)
+    for key, literal in (overrides or {}).items():
+        values[key] = _parse_value(key, literal, "override")
+    return config_from_values(values)

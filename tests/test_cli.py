@@ -1,10 +1,11 @@
+import argparse
 import warnings
 
 import numpy as np
 import pytest
 
-from cfpilot.cli import main
-from cfpilot.harness import CSV_HEADER, read_records
+from cfpilot.cli import _build_parser, main
+from cfpilot.harness import CSV_HEADER, KEY_PARSERS, read_records
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -222,6 +223,64 @@ def test_repeated_strategy_on_command_line_is_config_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["run", "--config", cfg, "--strategies", "random,random", "--out", str(out)]) == 2
     assert "'random' is listed more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,message", [("--strategies", "at least one strategy is required"),
+                                          ("--out", "no output path")])
+def test_empty_flag_is_config_error(tmp_path, capsys, flag, message):
+    # An empty flag is its key's empty value, not a missing flag: the file's value is not used.
+    fallback = tmp_path / "from_config.csv"
+    cfg = write_config(tmp_path, BASE + f"output_path = {fallback}\n")
+    out = tmp_path / "x.csv"
+    argv = {"--strategies": ["--strategies", "", "--out", str(out)], "--out": ["--out", ""]}[flag]
+    assert main(["run", "--config", cfg, *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not fallback.exists()
+
+
+@pytest.mark.parametrize("command,lines,flag,value", [
+    ("run", "strategies = sorcery", "--strategies", "oracle"),
+    ("sweep", "sweep_var = bogus\nsweep_values = 5", "--var", "num_aps"),
+    ("sweep", "sweep_var = num_aps\nsweep_values = 0", "--values", "4"),
+])
+def test_flag_replacing_an_invalid_file_value_runs(tmp_path, command, lines, flag, value):
+    # The file and the flags are validated together, as one config.
+    cfg = write_config(tmp_path, BASE + lines + "\n")
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, flag, value, "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("seed", ["x", "1.5", ""])
+def test_non_integer_seed_flag_is_config_error(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--seed", seed, "--out", str(out)]) == 2
+    assert f"bad value for 'seed': {seed!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_run_and_sweep_flag_is_a_config_key():
+    # Each flag reaches load_config as raw text under its key, so none skips the key's parse.
+    commands = next(action.choices for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for command in ("run", "sweep"):
+        for action in commands[command]._actions:
+            if action.dest in ("help", "config", "percentile"):
+                continue
+            assert action.dest in KEY_PARSERS, (command, action.option_strings)
+            assert action.type is None and action.choices is None, action.option_strings
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_repeated_sweep_value_is_config_error(tmp_path, capsys, where):
+    line = "sweep_values = 6, 6\n" if where == "file" else ""
+    flag = ["--values", "6,6"] if where == "flag" else []
+    cfg = write_config(tmp_path, BASE + "sweep_var = num_aps\n" + line)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", cfg, *flag, "--out", str(out)]) == 2
+    assert "sweep value 6 is listed more than once" in capsys.readouterr().err
     assert not out.exists()
 
 
