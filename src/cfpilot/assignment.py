@@ -50,12 +50,6 @@ _TABLE_CHUNK = 1 << _CHUNK_BITS
 _SCREEN_MARGIN = 1e-9
 
 
-def group_size_bounds(num_ues, num_clusters):
-    """Allowed per-cluster size range for a balanced partition."""
-    low = num_ues // num_clusters
-    return low, low + 1
-
-
 def pairwise_distance(features):
     """K-by-K Euclidean distances between UE feature vectors (one row per UE).
 
@@ -396,8 +390,7 @@ def optimal_repulsive(features, num_pilots) -> PilotAssignment:
             f"optimal-repulsive enumeration supports at most {OPTIMAL_REPULSIVE_MAX_UES} UEs, got {k}",
             guard="optimal-repulsive enumeration")
     _check_fillable(k, num_pilots)
-    low, _ = group_size_bounds(k, num_pilots)
-    candidates = _near_maximal(_partition_masks(k, num_pilots, low, k % num_pilots),
+    candidates = _near_maximal(_partition_masks(k, num_pilots, k // num_pilots, k % num_pilots),
                                _subset_dissimilarity(scores))
     labels = _mask_labels(candidates, k)
     same = (labels[:, :, None] == labels[:, None, :]).reshape(labels.shape[0], k * k)

@@ -133,7 +133,12 @@ def _evaluate(cfg, drops) -> list[ThroughputRecord]:
     else:
         powers = repeat(full_power(sim.num_ues))
     records = []
-    for (index, strategy, terms, _), power in zip(drops, powers):
+    for index, strategy, terms, _ in drops:
+        try:
+            power = next(powers)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"realization {index}, {strategy}: {exc}",
+                                      guard=exc.guard) from exc
         # An out-of-range SINR or throughput is rejected below, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             report = terms_report(terms, power.eta, sim)
@@ -162,28 +167,6 @@ def percentile(values, q):
         raise ValueError("percentile of a sequence containing NaN")
     rank = math.ceil(q * values.size)
     return float(np.sort(values)[rank - 1])
-
-
-def empirical_cdf(values):
-    """Sorted step function as (value, fraction <= value) pairs, ending at 1."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise ValueError("empirical cdf of an empty sequence")
-    points, counts = np.unique(values, return_counts=True)
-    fractions = np.cumsum(counts) / values.size
-    return list(zip(points.tolist(), fractions.tolist()))
-
-
-def ks_distance(a, b):
-    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ValueError("ks distance of an empty sequence")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
 
 
 def write_records(records, path):
@@ -277,8 +260,9 @@ def _parse_value(key, literal, where):
 
 
 def parse_config_text(text) -> dict:
-    """Parse flat ``key = value`` text into a typed dictionary."""
+    """Parse flat ``key = value`` text into a typed dictionary; a key may appear once."""
     values = {}
+    first_line = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -287,6 +271,10 @@ def parse_config_text(text) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, literal = line.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         values[key] = _parse_value(key, literal, f"line {lineno}")
     return values
 

@@ -96,7 +96,9 @@ def max_min_powers(coupling, floor):
 
     Yields one :class:`PowerCoefficients` per instance, in order, and raises
     ``BudgetExceededError`` on reaching an instance whose full-power point
-    its solve does not certify.
+    its solve does not certify. A point whose powers underflow below the
+    smallest double, as for C = [[1, 1e200], [0, 1]] and f = [1e-200, 1e-200],
+    is rejected this way, not certified.
     """
     n, k = floor.shape
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -6,12 +6,40 @@ import numpy as np
 from numpy.random import default_rng
 
 from cfpilot.assignment import (_TABLE_CHUNK, RESTARTS, SWAP_TOLERANCE, cluster_objective,
-                                group_size_bounds, pairwise_distance)
+                                pairwise_distance)
 from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import pilot_snr, uplink_snr
 
 _ENUM_CHUNK = 1 << 17
 _PARTITION_CHUNK = 1 << 13
+
+
+def group_size_bounds(num_ues, num_clusters):
+    """Allowed per-cluster size range for a balanced partition."""
+    low = num_ues // num_clusters
+    return low, low + 1
+
+
+def empirical_cdf(values):
+    """Sorted step function as (value, fraction <= value) pairs, ending at 1."""
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size == 0:
+        raise ValueError("empirical cdf of an empty sequence")
+    points, counts = np.unique(values, return_counts=True)
+    fractions = np.cumsum(counts) / values.size
+    return list(zip(points.tolist(), fractions.tolist()))
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    if a.size == 0 or b.size == 0:
+        raise ValueError("ks distance of an empty sequence")
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
 
 
 def swap_gain(scores, labels, u, w):

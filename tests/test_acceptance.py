@@ -14,17 +14,17 @@ import functools
 import numpy as np
 import pytest
 
-from cfpilot.assignment import (assign, cluster_objective, group_size_bounds, optimal_repulsive,
-                                oracle_assignment, pairwise_distance, random_assignment,
-                                repulsive_heuristic)
+from cfpilot.assignment import (assign, cluster_objective, optimal_repulsive, oracle_assignment,
+                                pairwise_distance, random_assignment, repulsive_heuristic)
 from cfpilot.chanest import estimation_quality
 from cfpilot.config import ExperimentConfig, SimConfig
-from cfpilot.harness import (empirical_cdf, ks_distance, percentile, run_experiment,
-                             strategy_seed, throughput_by_strategy, write_records)
+from cfpilot.harness import (percentile, run_experiment, strategy_seed, throughput_by_strategy,
+                             write_records)
 from cfpilot.power_control import full_power, max_min_power
-from cfpilot.rate_model import throughput, uplink_sinr, validate_sinr_empirically
+from cfpilot.rate_model import throughput, uplink_sinr
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
-from reference import swap_gain
+from reference import empirical_cdf, group_size_bounds, ks_distance, swap_gain
+from validator import validate_sinr_empirically
 
 SEED = 2022
 LIKELY_Q = 0.05  # 95%-likely: level exceeded by 95% of samples

@@ -12,18 +12,17 @@ from hypothesis import strategies as st
 from cfpilot.assignment import (_SCREEN_MARGIN, _TABLE_CHUNK, RESTARTS, _group_rate_table,
                                 _lockstep_search, _mask_labels, _member_table, _near_maximal,
                                 _partition_masks, _slot_sums, _subset_dissimilarity, assign,
-                                cluster_objective, exhaustive_sum_rate,
-                                greedy_assignment, group_size_bounds, optimal_repulsive,
-                                oracle_assignment, pairwise_distance, random_assignment,
-                                repulsive_heuristic)
+                                cluster_objective, exhaustive_sum_rate, greedy_assignment,
+                                optimal_repulsive, oracle_assignment, pairwise_distance,
+                                random_assignment, repulsive_heuristic)
 from cfpilot.chanest import PilotAssignment, estimation_quality
 from cfpilot.config import SimConfig
 from cfpilot.errors import BudgetExceededError
 from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
 from reference import (balanced_partitions, cluster_sums, exhaustive_labels, group_rate_table,
-                       local_search, optimal_repulsive_labels, repulsive_restarts, sum_rate,
-                       swap_gain)
+                       group_size_bounds, local_search, optimal_repulsive_labels,
+                       repulsive_restarts, sum_rate, swap_gain)
 
 LINE = np.array([0.0, 1.0, 10.0, 11.0])
 

@@ -85,7 +85,8 @@ def test_missing_config_file_is_config_error(tmp_path):
 
 
 def test_bad_strategy_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, BASE + "strategies = sorcery\n")
+    cfg = write_config(tmp_path, BASE.replace("strategies = random, oracle",
+                                              "strategies = sorcery"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
@@ -245,8 +246,11 @@ def test_empty_flag_is_config_error(tmp_path, capsys, flag, message):
     ("sweep", "sweep_var = num_aps\nsweep_values = 0", "--values", "4"),
 ])
 def test_flag_replacing_an_invalid_file_value_runs(tmp_path, command, lines, flag, value):
-    # The file and the flags are validated together, as one config.
-    cfg = write_config(tmp_path, BASE + lines + "\n")
+    # The file and the flags are validated together, as one config. The invalid lines take
+    # the place of BASE's, since a file may set a key only once.
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    base = [line for line in BASE.splitlines() if line.partition("=")[0].strip() not in keys]
+    cfg = write_config(tmp_path, "\n".join(base + [lines]) + "\n")
     out = tmp_path / "x.csv"
     assert main([command, "--config", cfg, flag, value, "--out", str(out)]) == 0
     assert out.exists()
@@ -281,6 +285,15 @@ def test_repeated_sweep_value_is_config_error(tmp_path, capsys, where):
     out = tmp_path / "x.csv"
     assert main(["sweep", "--config", cfg, *flag, "--out", str(out)]) == 2
     assert "sweep value 6 is listed more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_key_in_config_is_config_error(tmp_path, capsys):
+    # BASE sets num_aps on line 2; a second value must not silently replace it.
+    cfg = write_config(tmp_path, BASE + "num_aps = 8\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "line 9: key 'num_aps' is already set on line 2" in capsys.readouterr().err
     assert not out.exists()
 
 

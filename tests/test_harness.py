@@ -14,13 +14,14 @@ from cfpilot.assignment import assign
 from cfpilot.chanest import estimation_quality
 from cfpilot.config import ExperimentConfig, SimConfig
 from cfpilot.errors import BudgetExceededError, ConfigError
-from cfpilot.harness import (CSV_HEADER, ThroughputRecord, empirical_cdf, ks_distance,
-                             config_from_values, load_config, parse_config_text, percentile,
-                             read_records, run_experiment, run_sweep, strategy_seed,
-                             throughput_by_strategy, write_records, write_sweep)
+from cfpilot.harness import (CSV_HEADER, ThroughputRecord, config_from_values, load_config,
+                             parse_config_text, percentile, read_records, run_experiment,
+                             run_sweep, strategy_seed, throughput_by_strategy, write_records,
+                             write_sweep)
 from cfpilot.power_control import full_power, max_min_power
 from cfpilot.rate_model import rate_report
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
+from reference import empirical_cdf, ks_distance
 
 
 def test_percentile_examples():
@@ -222,7 +223,8 @@ def fail_power_at(monkeypatch, position):
 
 # (failing assignment, failing max-min instance in loop order, expected error, uplink_tx_power)
 ORDER_CASES = [
-    ((1, "random"), 1, (BudgetExceededError, "max-min fails here"), 0.1),  # (0, oracle) first
+    ((1, "random"), 1, (BudgetExceededError, "realization 0, oracle: max-min fails here"),
+     0.1),  # (0, oracle) first
     ((0, "oracle"), 2, (BudgetExceededError, "assignment fails here"), 0.1),
     ((1, "oracle"), 3, (BudgetExceededError, "assignment fails here"), 0.1),  # same drop
     ((2, "random"), 1, (ConfigError, "rounds to 0"), 1e-20),  # (0, random) writes 0 first

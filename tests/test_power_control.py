@@ -223,3 +223,13 @@ def test_uncertified_floor_raises_at_its_instance():
     assert next(powers).eta.shape == (2,)
     with pytest.raises(BudgetExceededError, match="full-power SINR floor"):
         next(powers)
+
+
+def test_full_power_point_that_underflows_is_rejected_not_certified():
+    # z(lam_0) of UE 0 lies below the smallest double, so its solve cannot certify the
+    # full-power point; an eigvals bisection certified SINR 0.4996 here.
+    coupling = np.array([[1.0, 1e200], [0.0, 1.0]])
+    floor = np.array([1e-200, 1e-200])
+    with pytest.raises(BudgetExceededError, match="full-power SINR floor") as raised:
+        next(max_min_powers(coupling[None], floor[None]))
+    assert raised.value.guard == "max-min power solve"
