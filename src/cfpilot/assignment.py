@@ -62,10 +62,15 @@ def pairwise_distance(features):
 
 
 def cluster_objective(scores, labels):
-    """Total within-cluster dissimilarity: ``scores`` summed once per same-label pair."""
+    """Total within-cluster dissimilarity: ``scores`` summed once per same-label pair.
+
+    One value per (..., K) label row, each a contiguous sum over the flattened
+    K*K product, so a row's value does not depend on the rows stacked with it.
+    """
     labels = np.asarray(labels)
-    same = labels[:, None] == labels[None, :]
-    return float((scores * same).sum()) / 2.0
+    k = labels.shape[-1]
+    same = (labels[..., :, None] == labels[..., None, :]).reshape(*labels.shape[:-1], k * k)
+    return (scores.ravel() * same).sum(axis=-1) / 2.0
 
 
 def random_assignment(num_ues, num_pilots, seed) -> PilotAssignment:
@@ -240,14 +245,8 @@ def repulsive_heuristic(features, num_pilots, seed=0) -> PilotAssignment:
     starts = np.empty((RESTARTS, k), dtype=int)
     for labels in starts:
         labels[rng.permutation(k)] = np.arange(k) % num_pilots
-    best_labels = None
-    best_score = -1.0
-    for labels in _lockstep_search(scores, starts, num_pilots):
-        score = cluster_objective(scores, labels)
-        if score > best_score:
-            best_score = score
-            best_labels = labels
-    return PilotAssignment(best_labels)
+    finals = _lockstep_search(scores, starts, num_pilots)
+    return PilotAssignment(finals[np.argmax(cluster_objective(scores, finals))])
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,9 +378,7 @@ def optimal_repulsive(features, num_pilots) -> PilotAssignment:
     Guarded to ``OPTIMAL_REPULSIVE_MAX_UES`` UEs; ties are broken toward the
     lexicographically smallest canonical label vector. Every balanced
     partition is screened by the sum of its groups' dissimilarities, and
-    only the near-maximal ones are scored exactly, each with the same
-    flattened K*K product and contiguous sum as :func:`cluster_objective`,
-    so every exact score equals its value bit for bit.
+    only the near-maximal ones are scored exactly, by :func:`cluster_objective`.
     """
     scores = pairwise_distance(features)
     k = scores.shape[0]
@@ -393,8 +390,7 @@ def optimal_repulsive(features, num_pilots) -> PilotAssignment:
     candidates = _near_maximal(_partition_masks(k, num_pilots, k // num_pilots, k % num_pilots),
                                _subset_dissimilarity(scores))
     labels = _mask_labels(candidates, k)
-    same = (labels[:, :, None] == labels[:, None, :]).reshape(labels.shape[0], k * k)
-    objective = (scores.ravel() * same).sum(axis=1) / 2.0
+    objective = cluster_objective(scores, labels)
     return PilotAssignment(_lexicographic_first(labels[objective == objective.max()], num_pilots))
 
 

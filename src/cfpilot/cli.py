@@ -55,10 +55,13 @@ def _config_and_output(args):
     if not path:
         raise ConfigError("no output path: pass --out or set output_path in the config")
     parent = Path(path).parent
-    if not parent.is_dir():
-        raise ConfigError(f"output directory {str(parent)!r} does not exist")
-    if Path(path).is_dir():
-        raise ConfigError(f"output path {path!r} is a directory")
+    try:
+        if not parent.is_dir():
+            raise ConfigError(f"output directory {str(parent)!r} does not exist")
+        if Path(path).is_dir():
+            raise ConfigError(f"output path {path!r} is a directory")
+    except OSError as exc:  # e.g. a file name too long for the file system
+        raise ConfigError(f"cannot check output path {path!r}: {exc}") from exc
     return cfg, path
 
 

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import ConfigError
-
-BOLTZMANN = 1.381e-23  # J/K
 
 # Registered strategy / power-policy names; these exact strings appear in the
 # CLI and in CSV output.
@@ -21,9 +20,13 @@ class SimConfig:
     """Physical and Monte Carlo parameters for one simulation campaign.
 
     Powers are in Watts, bandwidth in Hz, the service area is a square of
-    ``area_side`` meters wrapped toroidally. ``noise_figure`` is a linear
-    factor entering the noise power product directly.
+    ``area_side`` meters wrapped toroidally. Noise power is bandwidth * k_B *
+    T0 * ``noise_figure``: k_B and T0 are fixed, so the linear factor
+    ``noise_figure`` is the one setting that scales it.
     """
+
+    boltzmann: ClassVar[float] = 1.381e-23  # J/K
+    noise_temp: ClassVar[float] = 290.0     # K
 
     num_aps: int
     num_ues: int
@@ -34,8 +37,6 @@ class SimConfig:
     pilot_tx_power: float = 0.1
     uplink_tx_power: float = 0.1
     noise_figure: float = 9.0
-    noise_temp: float = 290.0
-    boltzmann: float = BOLTZMANN
     shadowing_sigma: float = 4.0
     realizations: int = 200
     seed: int = 0
@@ -47,8 +48,7 @@ class SimConfig:
             raise ConfigError("num_ues must be >= 1")
         if not 1 <= self.num_pilots <= self.coherence_len:
             raise ConfigError("num_pilots must satisfy 1 <= num_pilots <= coherence_len")
-        positive = ("area_side", "bandwidth", "pilot_tx_power", "uplink_tx_power",
-                    "noise_figure", "noise_temp", "boltzmann")
+        positive = ("area_side", "bandwidth", "pilot_tx_power", "uplink_tx_power", "noise_figure")
         for name in positive + ("shadowing_sigma",):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -60,7 +60,7 @@ class SimConfig:
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         from .topology import noise_power, pilot_snr, uplink_snr  # topology imports this module
-        noise = "bandwidth * boltzmann * noise_temp * noise_figure"
+        noise = "bandwidth * k_B * T0 * noise_figure"
         derived = (("noise power", noise, noise_power),
                    ("pilot SNR", f"pilot_tx_power / ({noise})", pilot_snr),
                    ("uplink SNR", f"uplink_tx_power / ({noise})", uplink_snr))

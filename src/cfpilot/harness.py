@@ -9,20 +9,20 @@ for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, fields, replace
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from numpy.random import SeedSequence
 
 from .assignment import assign
 from .chanest import estimation_quality
-from .config import STRATEGY_NAMES, ExperimentConfig, SimConfig
+from .config import ExperimentConfig, SimConfig
 from .errors import BudgetExceededError, ConfigError
 from .power_control import full_power, max_min_powers, power_problem
-from .rate_model import sinr_terms, terms_report
-from .topology import _SEED_MASK, generate_realization, pilot_snr, uplink_snr
+from .rate_model import sinr_terms, terms_sinr, throughput
+from .topology import generate_realization, pilot_snr, strategy_seed, uplink_snr
 
 CSV_HEADER = "realization,strategy,ue,sinr,throughput_bps"
 SWEEP_HEADER = "variable,value,strategy,n,percentile,throughput_bps"
@@ -30,11 +30,9 @@ PERCENTILE_NOTE = "# percentile method: nearest-rank (the ceil(q*N)-th smallest 
 
 # Realizations per lock-step chunk: about 256 KB per stacked (K, K) array of the chunk.
 _CHUNK_BYTES = 1 << 18
-_STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGY_NAMES)}
 
 
-@dataclass(frozen=True)
-class ThroughputRecord:
+class ThroughputRecord(NamedTuple):
     """One evaluated UE: linear SINR and throughput in bits/s."""
 
     realization: int
@@ -42,12 +40,6 @@ class ThroughputRecord:
     ue: int
     sinr: float
     throughput_bps: float
-
-
-def strategy_seed(seed, realization_index, strategy):
-    """Deterministic RNG substream for one (realization, strategy) pair."""
-    return SeedSequence(int(seed) & _SEED_MASK,
-                        spawn_key=(int(realization_index), _STRATEGY_CODE[strategy]))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
@@ -90,7 +82,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
             _evaluate(cfg, drops)  # a failure of an earlier drop comes first in loop order
             raise
         records.extend(_evaluate(cfg, drops))
-    records.sort(key=lambda r: (r.realization, r.strategy, r.ue))
+    records.sort()  # (realization, strategy, ue) is unique, so no later field is compared
     return records
 
 
@@ -127,6 +119,7 @@ def _evaluate(cfg, drops) -> list[ThroughputRecord]:
     if not drops:
         return []
     sim = cfg.sim
+    rho_u = uplink_snr(sim)
     if cfg.power_policy == "maxmin":
         powers = max_min_powers(np.stack([problem[0] for *_, problem in drops]),
                                 np.stack([problem[1] for *_, problem in drops]))
@@ -141,18 +134,19 @@ def _evaluate(cfg, drops) -> list[ThroughputRecord]:
                                       guard=exc.guard) from exc
         # An out-of-range SINR or throughput is rejected below, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            report = terms_report(terms, power.eta, sim)
-        lost = np.flatnonzero(~((report.throughput > 0) & (report.throughput < np.inf)))
+            sinr = terms_sinr(terms, power.eta, rho_u)
+            bps = throughput(sinr, sim)
+        lost = np.flatnonzero(~((bps > 0) & (bps < np.inf)))
         if lost.size:
             ue = lost[0]
-            fault = "rounds to 0" if report.throughput[ue] == 0 else "is not finite"
+            fault = "rounds to 0" if bps[ue] == 0 else "is not finite"
             raise ConfigError(
                 f"realization {index}, {strategy}: the throughput of UE {ue} {fault} "
-                f"at SINR {report.sinr[ue]:g} (uplink_tx_power = {sim.uplink_tx_power:g} W, "
+                f"at SINR {sinr[ue]:g} (uplink_tx_power = {sim.uplink_tx_power:g} W, "
                 f"pilot_tx_power = {sim.pilot_tx_power:g} W, bandwidth = {sim.bandwidth:g} Hz, "
                 f"shadowing_sigma = {sim.shadowing_sigma:g} dB)")
-        records.extend(ThroughputRecord(index, strategy, ue, sinr, bps) for ue, (sinr, bps)
-                       in enumerate(zip(report.sinr.tolist(), report.throughput.tolist())))
+        records.extend(ThroughputRecord(index, strategy, ue, value, rate) for ue, (value, rate)
+                       in enumerate(zip(sinr.tolist(), bps.tolist())))
     return records
 
 
@@ -174,7 +168,7 @@ def write_records(records, path):
     lines = [CSV_HEADER]
     lines.extend(f"{r.realization},{r.strategy},{r.ue},{r.sinr:.9g},{r.throughput_bps:.9g}"
                  for r in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    _write_lines(lines, path)
 
 
 def read_records(path) -> list[ThroughputRecord]:
@@ -232,7 +226,15 @@ def write_sweep(rows, path):
     lines = [PERCENTILE_NOTE, SWEEP_HEADER]
     lines.extend(f"{var},{value},{strategy},{n},{pct:.9g},{tp:.9g}"
                  for var, value, strategy, n, pct, tp in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    _write_lines(lines, path)
+
+
+def _write_lines(lines, path):
+    """Write lines with LF endings; a failed write raises ``ConfigError`` naming the path."""
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 # Flat key = value config files; '#' starts a comment, lists are comma separated.

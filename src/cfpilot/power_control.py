@@ -112,9 +112,7 @@ def max_min_powers(coupling, floor):
     live = np.flatnonzero(~certified)
     earlier = latest = np.full(live.size, np.inf)  # |log| of the step before last, the last step
     for step in range(_STEP_BUDGET):
-        c, f, x = ((coupling, floor, lam) if live.size == n
-                   else (coupling[live], floor[live], lam[live]))
-        s = scale[live]
+        c, f, x, s = coupling[live], floor[live], lam[live], scale[live]
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             system = c * s[:, None, :]  # C S, then S^-1 C S: entries near lam, never huge
             np.divide(system, -s[:, :, None], out=system)

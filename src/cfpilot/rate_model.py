@@ -82,13 +82,8 @@ def throughput(sinr, cfg: SimConfig):
     return cfg.bandwidth * prelog * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
-def terms_report(terms: SinrTerms, eta, cfg: SimConfig) -> RateReport:
-    """Bundle SINR and throughput from the SINR terms of one assignment."""
-    sinr = terms_sinr(terms, eta, _uplink_snr(cfg))
-    return RateReport(sinr=sinr, throughput=throughput(sinr, cfg))
-
-
 def rate_report(beta, gamma, assignment: PilotAssignment, eta, cfg: SimConfig) -> RateReport:
     """Bundle SINR and throughput for one evaluated assignment."""
-    return terms_report(sinr_terms(beta, gamma, assignment), eta, cfg)
+    sinr = uplink_sinr(beta, gamma, assignment, eta, _uplink_snr(cfg))
+    return RateReport(sinr=sinr, throughput=throughput(sinr, cfg))
 

@@ -1,4 +1,4 @@
-"""Network geometry, large-scale fading, and noise power.
+"""Network geometry, large-scale fading, noise power, and the seed streams.
 
 One network realization places APs and UEs uniformly on a wrapped square and
 draws a full AP-by-UE matrix of large-scale power gains (urban-microcell
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .config import SimConfig
+from .config import STRATEGY_NAMES, SimConfig
 from .errors import ConfigError
 
 # Urban-microcell NLOS pathloss at 2 GHz: PL(d)[dB] = 30.5 + 36.7*log10(d/1m).
@@ -25,6 +25,7 @@ PATHLOSS_SLOPE_DB = 36.7
 AP_UE_HEIGHT_GAP_M = 8.5
 
 _SEED_MASK = (1 << 64) - 1
+_STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGY_NAMES)}
 _WRAP_SHIFTS = np.array([-1.0, 0.0, 1.0])  # translations per axis, in units of the side
 
 
@@ -97,6 +98,12 @@ def uplink_snr(cfg: SimConfig):
 def realization_seed(seed, realization_index):
     """Independent, reproducible RNG substream for one realization index."""
     return SeedSequence(int(seed) & _SEED_MASK, spawn_key=(int(realization_index),))
+
+
+def strategy_seed(seed, realization_index, strategy):
+    """Deterministic RNG substream for one (realization, strategy) pair."""
+    return SeedSequence(int(seed) & _SEED_MASK,
+                        spawn_key=(int(realization_index), _STRATEGY_CODE[strategy]))
 
 
 def generate_realization(cfg: SimConfig, realization_index) -> NetworkRealization:

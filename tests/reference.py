@@ -5,8 +5,7 @@ import functools
 import numpy as np
 from numpy.random import default_rng
 
-from cfpilot.assignment import (_TABLE_CHUNK, RESTARTS, SWAP_TOLERANCE, cluster_objective,
-                                pairwise_distance)
+from cfpilot.assignment import _TABLE_CHUNK, RESTARTS, SWAP_TOLERANCE, pairwise_distance
 from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import pilot_snr, uplink_snr
 
@@ -40,6 +39,13 @@ def ks_distance(a, b):
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(cdf_a - cdf_b).max())
+
+
+def single_objective(scores, labels):
+    """Within-cluster dissimilarity of one label vector, summed over the whole K-by-K product."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    return float((scores * same).sum()) / 2.0
 
 
 def swap_gain(scores, labels, u, w):
@@ -132,7 +138,7 @@ def repulsive_restarts(features, num_pilots, seed):
         labels = np.empty(k, dtype=int)
         labels[rng.permutation(k)] = np.arange(k) % num_pilots
         local_search(scores, labels, num_pilots)
-        score = cluster_objective(scores, labels)
+        score = single_objective(scores, labels)
         if score > best_score:
             best_score = score
             best_labels = labels

@@ -22,7 +22,7 @@ from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
 from reference import (balanced_partitions, cluster_sums, exhaustive_labels, group_rate_table,
                        group_size_bounds, local_search, optimal_repulsive_labels,
-                       repulsive_restarts, sum_rate, swap_gain)
+                       repulsive_restarts, single_objective, sum_rate, swap_gain)
 
 LINE = np.array([0.0, 1.0, 10.0, 11.0])
 
@@ -44,6 +44,34 @@ def test_repulsion_score_hand_values():
 
 def test_repulsion_score_singletons_zero():
     assert objective(np.array([3.0, 7.0]), [0, 1]) == 0.0
+
+
+@pytest.mark.parametrize("points", ["seeded", "lattice", "identical"])
+@pytest.mark.parametrize("k,tp", [(13, 3), (40, 10)])
+def test_stacked_objective_equals_each_row_bit_for_bit(points, k, tp):
+    rng = np.random.default_rng(k + tp)
+    feats = {"seeded": rng.uniform(0, 1000, size=(k, 2)),
+             "lattice": rng.integers(0, 3, size=(k, 2)).astype(float),
+             "identical": np.zeros((k, 2))}[points]
+    scores = pairwise_distance(feats)
+    labels = random_starts(k, tp, 5, count=20)
+    rows = [single_objective(scores, row) for row in labels]
+    assert cluster_objective(scores, labels).tolist() == rows
+    assert cluster_objective(scores, labels.reshape(4, 5, k)).ravel().tolist() == rows
+    assert [float(cluster_objective(scores, row)) for row in labels] == rows
+
+
+def test_repulsive_returns_the_earliest_of_tied_best_starts(monkeypatch):
+    # Identical points: no swap is ever taken, every start scores 0, so the first start wins.
+    rng = np.random.default_rng(4)
+    first = np.empty(12, dtype=int)
+    first[rng.permutation(12)] = np.arange(12) % 3
+    assert repulsive_heuristic(np.zeros((12, 2)), 3, seed=4).p.tolist() == first.tolist()
+    # On LINE, {0, 3}{1, 2} and {0, 2}{1, 3} both score 20 and {0, 1}{2, 3} scores 2.
+    finals = np.array([[0, 0, 1, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1],
+                       [0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    monkeypatch.setattr("cfpilot.assignment._lockstep_search", lambda *_: finals)
+    assert repulsive_heuristic(LINE, 2, seed=0).p.tolist() == [0, 1, 1, 0]
 
 
 def test_repulsion_function_invariants():

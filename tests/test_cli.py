@@ -1,4 +1,5 @@
 import argparse
+import os
 import warnings
 
 import numpy as np
@@ -201,7 +202,7 @@ def test_non_utf8_records_file_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("shadowing_sigma", "2000"), ("area_side", "1e300"),
-                                       ("noise_temp", "1e-300"), ("pilot_tx_power", "1e-300"),
+                                       ("noise_figure", "1e-300"), ("pilot_tx_power", "1e-300"),
                                        ("uplink_tx_power", "1e300")])
 def test_extreme_physical_value_is_config_error(tmp_path, capsys, key, value):
     # Each drives a gain, an SNR or an estimate statistic out of the float range.
@@ -210,6 +211,35 @@ def test_extreme_physical_value_is_config_error(tmp_path, capsys, key, value):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["boltzmann = 1.38e-23", "noise_temp = 300"])
+def test_fixed_noise_constant_is_not_a_config_key(tmp_path, capsys, line):
+    # Boltzmann's constant and T0 are fixed; noise_figure is the one noise setting.
+    cfg = write_config(tmp_path, BASE + line + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failed_output_write_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, BASE + "sweep_var = num_aps\nsweep_values = 4\n")
+    assert main([command, "--config", cfg, "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output file /dev/full" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_file_name_too_long_is_config_error(tmp_path, capsys, command):
+    # 300 characters is past the usual 255-byte limit on one path component.
+    cfg = write_config(tmp_path, BASE + "sweep_var = num_aps\nsweep_values = 4\n")
+    out = str(tmp_path / ("x" * 300))
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "x" * 300 in err and "Traceback" not in err
 
 
 def test_repeated_strategy_in_config_is_config_error(tmp_path, capsys):

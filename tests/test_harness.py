@@ -314,8 +314,6 @@ FIELD_LITERALS = {
     "pilot_tx_power": ("0.2", 0.2),
     "uplink_tx_power": ("5e-2", 0.05),
     "noise_figure": ("4.5", 4.5),
-    "noise_temp": ("300", 300.0),
-    "boltzmann": ("1.38e-23", 1.38e-23),
     "shadowing_sigma": ("0", 0.0),
     "realizations": ("12", 12),
     "seed": ("-4", -4),
@@ -342,9 +340,8 @@ def test_every_config_field_parses_to_its_typed_value():
 def _sim(num_aps, num_ues, num_pilots, realizations):
     return SimConfig(num_aps=num_aps, num_ues=num_ues, num_pilots=num_pilots, area_side=1000.0,
                      coherence_len=200, bandwidth=20000000.0, pilot_tx_power=0.1,
-                     uplink_tx_power=0.1, noise_figure=9.0, noise_temp=290.0,
-                     boltzmann=1.381e-23, shadowing_sigma=4.0, realizations=realizations,
-                     seed=2022)
+                     uplink_tx_power=0.1, noise_figure=9.0, shadowing_sigma=4.0,
+                     realizations=realizations, seed=2022)
 
 
 MAIN_FOUR = ("random", "greedy", "repulsive", "oracle")

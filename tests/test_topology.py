@@ -129,7 +129,7 @@ def test_config_invariants_rejected():
         base_config(num_aps=0)
     with pytest.raises(ConfigError):
         base_config(pilot_tx_power=-0.1)
-    for name in ("bandwidth", "noise_temp", "shadowing_sigma"):
+    for name in ("bandwidth", "noise_figure", "shadowing_sigma"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="finite"):
                 base_config(**{name: value})
