@@ -135,46 +135,57 @@ def _slot_sums(columns, table):
     numpy sums pairwise only along the last, contiguous axis, and adds the
     slots here one after another. With ascending members that is the order in
     which it reduces ``scores[:, members].sum(axis=1)``, because fancy
-    indexing lays that array out column-major. The zero row ``columns[K]`` of
-    an empty slot, added last, leaves a sum unchanged.
+    indexing lays that array out column-major. The zero row of an empty slot,
+    added last, leaves a sum unchanged.
     """
     return columns.take(table, axis=0).sum(axis=-2)
 
 
 def _lockstep_search(scores, starts, num_pilots):
-    """Run the swap local search from every row of ``starts`` at once; returns the final labels.
+    """Run the swap local search from every start of every realization at once.
 
-    Each start sweeps cluster pairs lexicographically until a full sweep
-    accepts no swap. Within a pair, the first improving swap in UE index
-    order is applied and the pair is re-scanned until none is left. A scan
-    that accepts nothing leaves the state unchanged, so each iteration scores
-    the swaps of every pair a < b of every live start as one (slots, slots,
-    starts, pairs) stack, and each start applies the first improving swap of
-    its first improving pair at or after its current one, wrapping around to
-    pair 0. A start ends when it holds no improving swap. Members sit in
-    ascending slots (:func:`_member_table`), so the row-major (slot of u, slot
-    of w) order of a pair's block is a single-start scan's (u, w) order. With
-    T[i, c] UE i's summed dissimilarity to cluster c, a gain is
+    ``scores`` is an (R, K, K) stack of dissimilarities and ``starts`` an
+    (R, S, K) stack of start labels, S per realization; returns the final
+    labels, shaped like ``starts``. Each start sweeps cluster pairs
+    lexicographically until a full sweep accepts no swap. Within a pair, the
+    first improving swap in UE index order is applied and the pair is
+    re-scanned until none is left. A scan that accepts nothing leaves the
+    state unchanged, so each iteration scores the swaps of every pair a < b
+    of every live start as one (slots, slots, starts, pairs) stack, and each
+    start applies the first improving swap of its first improving pair at or
+    after its current one, wrapping around to pair 0. A start ends when it
+    holds no improving swap. Members sit in ascending slots
+    (:func:`_member_table`), so the row-major (slot of u, slot of w) order of
+    a pair's block is a single-start scan's (u, w) order. With T[i, c] UE
+    i's summed dissimilarity to cluster c, a gain is
     ((T[w, a] - T[u, a]) + T[u, b]) - T[w, b] - 2 d(u, w), that scan's
-    expression in its order; d is infinite at an empty slot. After a swap
-    both clusters are re-sorted and their sums recomputed as fresh sums, so
-    every decision matches that scan bit for bit. With one UE per cluster
-    every gain is (d(u, w) + d(u, w)) - 2 d(u, w) = 0 exactly, and with one
-    cluster there is no pair, so no swap is ever taken: the starts are final.
+    expression in its order; d is infinite at an empty slot. A start reads
+    d, its sums' columns and the swap margin (``SWAP_TOLERANCE`` times the
+    largest d) through its own realization's offset, so every decision
+    matches that realization's single-start scan bit for bit, whatever is
+    stacked with it. After a swap both clusters are re-sorted and their sums
+    recomputed as fresh sums. With one UE per cluster every gain is
+    (d(u, w) + d(u, w)) - 2 d(u, w) = 0 exactly, and with one cluster there
+    is no pair, so no swap is ever taken: the starts are final.
     """
-    count, k = starts.shape
+    num_runs, per_run, k = starts.shape
     if k <= num_pilots or num_pilots == 1:
         return starts
+    count = num_runs * per_run
     pairs = np.transpose(np.triu_indices(num_pilots, 1))           # a < b, lexicographic
     num_pairs = len(pairs)
-    table = _member_table(starts, num_pilots)
+    table = _member_table(starts.reshape(count, k), num_pilots)
     slots = table.shape[2]
-    columns = np.zeros((k + 1, k + 1))
-    columns[:k, :k] = scores.T
-    sums = _slot_sums(columns, table)
-    twice = np.full((k + 1, k + 1), np.inf)
-    twice[:k, :k] = 2.0 * scores
-    tolerance = SWAP_TOLERANCE * scores.max()
+    owner = np.arange(count) // per_run                             # each start's realization
+    columns = np.zeros((num_runs, k + 1, k + 1))
+    columns[:, :k, :k] = scores.transpose(0, 2, 1)
+    columns = columns.reshape(num_runs * (k + 1), k + 1)
+    at_column = owner * (k + 1)
+    sums = _slot_sums(columns, table + at_column[:, None, None])
+    twice = np.full((num_runs, k + 1, k + 1), np.inf)
+    twice[:, :k, :k] = 2.0 * scores
+    at_twice = owner * (k + 1) ** 2
+    tolerance = (SWAP_TOLERANCE * scores.max(axis=(1, 2)))[owner, None]
     # Flat indices, the same for the first n starts while starts drop out: the
     # members u, u, w, w of every slot and pair, the sums T[u, a], T[u, b],
     # T[w, a], T[w, b] they read, and each start's first stack column.
@@ -193,7 +204,9 @@ def _lockstep_search(scores, starts, num_pilots):
         gain = np.subtract(ends[None, :, 2], ends[:, None, 0])     # [slot of u, slot of w, r, pair]
         gain += ends[:, None, 1]
         gain -= ends[None, :, 3]
-        gain -= twice.take(np.multiply(member[:, 0], k + 1)[:, None] + member[None, :, 3])
+        row = np.multiply(member[:, 0], k + 1)
+        row += at_twice[:, None]
+        gain -= twice.take(row[:, None] + member[None, :, 3])
         better = np.greater(gain, tolerance).reshape(slots * slots, n * num_pairs)
         hit = better.any(axis=0).reshape(n, num_pairs)
         # 2 at an improving pair at or after the start's current pair, 1 at one
@@ -206,6 +219,7 @@ def _lockstep_search(scores, starts, num_pilots):
             final[live[~found]] = table[~found]
             keep = np.flatnonzero(found)
             live, table, sums = live[keep], table[keep], sums[keep]
+            at_column, at_twice, tolerance = at_column[keep], at_twice[keep], tolerance[keep]
             rows = np.arange(live.size)
             cell, current = cell[keep], current[keep]
         touched = pairs[current]
@@ -214,10 +228,10 @@ def _lockstep_search(scores, starts, num_pilots):
         block[rows, 0, i], block[rows, 1, j] = block[rows, 1, j], block[rows, 0, i]
         block.sort(axis=2)
         table[rows[:, None], touched] = block
-        sums[rows[:, None], touched] = _slot_sums(columns, block)
+        sums[rows[:, None], touched] = _slot_sums(columns, block + at_column[:, None, None])
     labels = np.empty((count, k + 1), dtype=np.int64)
     labels[runs[:, None, None], final] = np.arange(num_pilots)[:, None]
-    return labels[:, :k]
+    return labels[:, :k].reshape(num_runs, per_run, k)
 
 
 def _check_fillable(num_ues, num_pilots):
@@ -225,6 +239,34 @@ def _check_fillable(num_ues, num_pilots):
     if num_ues < num_pilots:
         raise ConfigError(f"{num_ues} UEs cannot fill {num_pilots} pilots: "
                           "the repulsive strategies need num_ues >= num_pilots")
+
+
+def repulsive_stack_bytes(num_ues, num_pilots):
+    """Bytes of one realization's swap gains in an iteration of :func:`repulsive_stack`."""
+    pairs = num_pilots * (num_pilots - 1) // 2
+    return 8 * RESTARTS * max(pairs, 1) * (-(-num_ues // num_pilots)) ** 2
+
+
+def repulsive_stack(features, num_pilots, seeds) -> list[PilotAssignment]:
+    """:func:`repulsive_heuristic` of each realization, its starts all searched as one stack.
+
+    ``features`` and ``seeds`` hold one entry per realization, each with the
+    same number of UEs. A realization draws its starts from its own seed and
+    keeps its first-best start, so its result is that of its call alone, bit
+    for bit. The stack's memory grows with the number of realizations times
+    :func:`repulsive_stack_bytes`.
+    """
+    scores = np.stack([pairwise_distance(f) for f in features])
+    k = scores.shape[1]
+    _check_fillable(k, num_pilots)
+    starts = np.empty((len(seeds), RESTARTS, k), dtype=int)
+    for run, seed in zip(starts, seeds):
+        rng = default_rng(seed)
+        for labels in run:
+            labels[rng.permutation(k)] = np.arange(k) % num_pilots
+    finals = _lockstep_search(scores, starts, num_pilots)
+    return [PilotAssignment(run[np.argmax(cluster_objective(s, run))])
+            for s, run in zip(scores, finals)]
 
 
 def repulsive_heuristic(features, num_pilots, seed=0) -> PilotAssignment:
@@ -236,17 +278,9 @@ def repulsive_heuristic(features, num_pilots, seed=0) -> PilotAssignment:
     within-cluster dissimilarity; a start terminates when a full sweep
     accepts no swap. The best of ``RESTARTS`` such runs is returned (ties
     keep the earliest), so the result is balanced, 1-swap locally optimal,
-    and deterministic given the seed.
+    and deterministic given the seed. A stack of one :func:`repulsive_stack`.
     """
-    scores = pairwise_distance(features)
-    k = scores.shape[0]
-    _check_fillable(k, num_pilots)
-    rng = default_rng(seed)
-    starts = np.empty((RESTARTS, k), dtype=int)
-    for labels in starts:
-        labels[rng.permutation(k)] = np.arange(k) % num_pilots
-    finals = _lockstep_search(scores, starts, num_pilots)
-    return PilotAssignment(finals[np.argmax(cluster_objective(scores, finals))])
+    return repulsive_stack([features], num_pilots, [seed])[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ Subcommands:
   stats  nearest-rank percentile of a records CSV, per strategy
   sweep  re-run an experiment across a swept variable, write aggregated stats
 
-Exit codes: 0 success, 2 configuration error, 3 enumeration/iteration budget.
+Exit codes: 0 success, 2 configuration error, 3 enumeration/iteration budget or an
+array too large to allocate.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         guard = f" [{exc.guard}]" if exc.guard else ""
         print(f"budget error{guard}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's message names the array's size and shape
+        print(f"budget error [memory]: {exc}", file=sys.stderr)
         return 3
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import assign
+from .assignment import assign, repulsive_stack, repulsive_stack_bytes
 from .chanest import estimation_quality
 from .config import ExperimentConfig, SimConfig
 from .errors import BudgetExceededError, ConfigError
@@ -47,11 +47,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
 
     For each realization index one topology is drawn and every strategy is
     evaluated on it: assignment, estimation statistics, power policy, SINR,
-    throughput. Realizations are taken in chunks: per realization the
-    assignments and SINR terms are built once, in order; then the chunk's
-    max-min problems are solved in lock-step, and SINR and throughput are
-    computed from the same terms. Each output and error is that of
-    evaluating every (realization, strategy) alone, in loop order.
+    throughput. Realizations are taken in chunks: a chunk's topologies are
+    drawn first, then per realization the assignments and SINR terms are
+    built once, in order; then the chunk's max-min problems are solved in
+    lock-step, and SINR and throughput are computed from the same terms. At
+    the chunk's first ``repulsive`` drop, the local searches of all its
+    realizations run as lock-step stacks (:func:`_repulsive_pilots`). Each
+    output and error is that of evaluating every (realization, strategy)
+    alone, in loop order: a topology that fails to draw raises after the
+    drops of the realizations before it.
 
     Budget guards of the exact strategies propagate as
     ``BudgetExceededError``. ``ConfigError`` is raised before the first drop
@@ -72,12 +76,27 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
     per_chunk = max(1, _CHUNK_BYTES // (8 * sim.num_ues ** 2 * len(cfg.strategies)))
     records = []
     for start in range(0, sim.realizations, per_chunk):
-        drops = []
+        realizations, failed = [], None
         try:
             for index in range(start, min(start + per_chunk, sim.realizations)):
-                realization = generate_realization(sim, index)
+                realizations.append(generate_realization(sim, index))
+        except ConfigError as exc:
+            failed = exc
+        drops, repulsive = [], None
+        try:
+            for index, realization in enumerate(realizations, start):
                 for strategy in cfg.strategies:
-                    drops.append(_build_drop(cfg, realization, index, strategy, rho_p, rho_u))
+                    if strategy == "repulsive":
+                        if repulsive is None:
+                            repulsive = _repulsive_pilots(sim, realizations, start)
+                        pilot = repulsive[index - start]
+                    else:
+                        pilot = assign(strategy, realization, sim,
+                                       seed=strategy_seed(sim.seed, index, strategy))
+                    drops.append(_build_drop(cfg, realization, index, strategy, pilot,
+                                             rho_p, rho_u))
+            if failed is not None:
+                raise failed
         except (ConfigError, BudgetExceededError):
             _evaluate(cfg, drops)  # a failure of an earlier drop comes first in loop order
             raise
@@ -86,10 +105,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
     return records
 
 
-def _build_drop(cfg, realization, index, strategy, rho_p, rho_u):
-    """One strategy on a realization, reduced to (index, strategy, SINR terms, power problem)."""
+def _repulsive_pilots(sim, realizations, start):
+    """The ``repulsive`` assignment of each of a chunk's realizations; ``start`` indexes the first.
+
+    The searches run in stacks of ``_CHUNK_BYTES`` of swap gains per
+    iteration, but of at least one realization, so a stack's memory stays
+    that of a chunk.
+    """
+    per_stack = max(1, _CHUNK_BYTES // repulsive_stack_bytes(sim.num_ues, sim.num_pilots))
+    pilots = []
+    for first in range(0, len(realizations), per_stack):
+        stack = realizations[first:first + per_stack]
+        seeds = [strategy_seed(sim.seed, index, "repulsive")
+                 for index in range(start + first, start + first + len(stack))]
+        pilots.extend(repulsive_stack([r.ue_positions for r in stack], sim.num_pilots, seeds))
+    return pilots
+
+
+def _build_drop(cfg, realization, index, strategy, pilot, rho_p, rho_u):
+    """A strategy's assignment on a realization, as (index, strategy, SINR terms, power problem)."""
     sim = cfg.sim
-    pilot = assign(strategy, realization, sim, seed=strategy_seed(sim.seed, index, strategy))
     # Out-of-range terms are rejected below: the numerator always, the coupling under max-min.
     with np.errstate(over="ignore", invalid="ignore"):
         quality = estimation_quality(realization.beta, pilot, sim.num_pilots, rho_p)

@@ -5,9 +5,14 @@ import functools
 import numpy as np
 from numpy.random import default_rng
 
-from cfpilot.assignment import _TABLE_CHUNK, RESTARTS, SWAP_TOLERANCE, pairwise_distance
-from cfpilot.rate_model import uplink_sinr
-from cfpilot.topology import pilot_snr, uplink_snr
+from cfpilot.assignment import (_TABLE_CHUNK, RESTARTS, SWAP_TOLERANCE, _check_fillable, assign,
+                                pairwise_distance)
+from cfpilot.chanest import PilotAssignment, estimation_quality
+from cfpilot.errors import BudgetExceededError, ConfigError
+from cfpilot.harness import ThroughputRecord
+from cfpilot.power_control import full_power, max_min_power
+from cfpilot.rate_model import rate_report, uplink_sinr
+from cfpilot.topology import generate_realization, pilot_snr, strategy_seed, uplink_snr
 
 _ENUM_CHUNK = 1 << 17
 _PARTITION_CHUNK = 1 << 13
@@ -295,3 +300,63 @@ def exhaustive_labels(realization, cfg):
             best_code = start * width + idx
     weights = num_pilots ** np.arange(k - 1, -1, -1, dtype=np.int64)  # p[0] most significant
     return (best_code // weights) % num_pilots
+
+
+def reference_labels(strategy, realization, sim, seed):
+    """One drop's pilot assignment: the reference search of a searched strategy, else ``assign``."""
+    positions = realization.ue_positions
+    if strategy == "repulsive":
+        _check_fillable(sim.num_ues, sim.num_pilots)
+        return PilotAssignment(repulsive_restarts(positions, sim.num_pilots, seed))
+    if strategy == "optimal-repulsive":
+        _check_fillable(sim.num_ues, sim.num_pilots)
+        return PilotAssignment(optimal_repulsive_labels(positions, sim.num_pilots))
+    if strategy == "exhaustive":
+        return PilotAssignment(exhaustive_labels(realization, sim))
+    return assign(strategy, realization, sim, seed=seed)
+
+
+def reference_records(cfg):
+    """``run_experiment`` one drop at a time, in loop order, from the reference searches.
+
+    Each (realization, strategy) is drawn, assigned, solved by the per-drop
+    ``max_min_power`` or at full power, and rated by ``rate_report`` before
+    the next, so the first drop that fails raises. Reproduces the errors of
+    the configs of small K (the exact-search budgets hold) whose estimate
+    qualities and max-min couplings stay in range: an unfillable repulsive
+    clustering, a max-min budget and a throughput that rounds to 0 or
+    overflows.
+    """
+    sim = cfg.sim
+    records = []
+    for index in range(sim.realizations):
+        realization = generate_realization(sim, index)
+        for strategy in cfg.strategies:
+            pilot = reference_labels(strategy, realization, sim,
+                                     strategy_seed(sim.seed, index, strategy))
+            gamma = estimation_quality(realization.beta, pilot, sim.num_pilots,
+                                       pilot_snr(sim)).gamma
+            if cfg.power_policy == "maxmin":
+                try:
+                    eta = max_min_power(realization.beta, gamma, pilot, uplink_snr(sim)).eta
+                except BudgetExceededError as exc:
+                    raise BudgetExceededError(f"realization {index}, {strategy}: {exc}",
+                                              guard=exc.guard) from exc
+            else:
+                eta = full_power(sim.num_ues).eta
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = rate_report(realization.beta, gamma, pilot, eta, sim)
+            sinr, bps = report.sinr, report.throughput
+            lost = np.flatnonzero(~((bps > 0) & (bps < np.inf)))
+            if lost.size:
+                ue = lost[0]
+                fault = "rounds to 0" if bps[ue] == 0 else "is not finite"
+                raise ConfigError(
+                    f"realization {index}, {strategy}: the throughput of UE {ue} {fault} "
+                    f"at SINR {sinr[ue]:g} (uplink_tx_power = {sim.uplink_tx_power:g} W, "
+                    f"pilot_tx_power = {sim.pilot_tx_power:g} W, bandwidth = "
+                    f"{sim.bandwidth:g} Hz, shadowing_sigma = {sim.shadowing_sigma:g} dB)")
+            records.extend(ThroughputRecord(index, strategy, ue, float(value), float(rate))
+                           for ue, (value, rate) in enumerate(zip(sinr, bps)))
+    records.sort()
+    return records

@@ -14,10 +14,11 @@ from cfpilot.assignment import (_SCREEN_MARGIN, _TABLE_CHUNK, RESTARTS, _group_r
                                 _partition_masks, _slot_sums, _subset_dissimilarity, assign,
                                 cluster_objective, exhaustive_sum_rate, greedy_assignment,
                                 optimal_repulsive, oracle_assignment, pairwise_distance,
-                                random_assignment, repulsive_heuristic)
+                                random_assignment, repulsive_heuristic, repulsive_stack)
 from cfpilot.chanest import PilotAssignment, estimation_quality
-from cfpilot.config import SimConfig
+from cfpilot.config import ExperimentConfig, SimConfig
 from cfpilot.errors import BudgetExceededError
+from cfpilot.harness import run_experiment
 from cfpilot.rate_model import uplink_sinr
 from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
 from reference import (balanced_partitions, cluster_sums, exhaustive_labels, group_rate_table,
@@ -70,7 +71,7 @@ def test_repulsive_returns_the_earliest_of_tied_best_starts(monkeypatch):
     # On LINE, {0, 3}{1, 2} and {0, 2}{1, 3} both score 20 and {0, 1}{2, 3} scores 2.
     finals = np.array([[0, 0, 1, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1],
                        [0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-    monkeypatch.setattr("cfpilot.assignment._lockstep_search", lambda *_: finals)
+    monkeypatch.setattr("cfpilot.assignment._lockstep_search", lambda *_: finals[None])
     assert repulsive_heuristic(LINE, 2, seed=0).p.tolist() == [0, 1, 1, 0]
 
 
@@ -149,7 +150,7 @@ def test_swap_gain_matches_full_recompute():
 
 
 def test_heuristic_line_example_reaches_optimum():
-    labels = _lockstep_search(pairwise_distance(LINE), np.array([[0, 0, 1, 1]]), 2)[0]
+    labels = _lockstep_search(pairwise_distance(LINE)[None], np.array([[[0, 0, 1, 1]]]), 2)[0, 0]
     assert objective(LINE, labels) == pytest.approx(20.0)
 
 
@@ -160,7 +161,7 @@ def random_starts(num_ues, num_pilots, seed, count=RESTARTS):
 def assert_matches_single_starts(feats, starts, num_pilots):
     """Every row of the lock-step search ends where the single-start reference does."""
     scores = pairwise_distance(feats)
-    out = _lockstep_search(scores, starts, num_pilots)
+    out = _lockstep_search(scores[None], starts[None], num_pilots)[0]
     for start, labels in zip(starts, out):
         assert labels.tolist() == local_search(scores, start.copy(), num_pilots).tolist()
     return out
@@ -538,6 +539,58 @@ def test_group_rate_table_reuses_no_stale_work_between_sizes():
     assert_same_bits(again, reference)
 
 
+def seeded_drops(m, k, tp, count=5):
+    return [generate_realization(SimConfig(num_aps=m, num_ues=k, num_pilots=tp, seed=400 + i),
+                                 i).ue_positions for i in range(count)]
+
+
+def stack_case(case):
+    """A stack of UE features, one entry per realization, and its number of pilots."""
+    lattice = [np.random.default_rng(i).integers(0, 3, size=(12, 2)).astype(float)
+               for i in range(4)]
+    # Its exactly tied gains cycle forever under a margin below its own (see
+    # test_lattice_ties_at_kilometre_scale_terminate).
+    grid = np.random.default_rng(7).integers(0, 5, size=(24, 2)).astype(float)
+    return {
+        "seeded (100, 40, 10)": (seeded_drops(100, 40, 10), 10),
+        "seeded (50, 12, 3)": (seeded_drops(50, 12, 3), 3),
+        "seeded (100, 60, 7)": (seeded_drops(100, 60, 7), 7),
+        "seeded (100, 30, 2)": (seeded_drops(100, 30, 2), 2),
+        "lattice ties": (lattice, 3),
+        # Each lattice is 1000 times the last, and so is its margin: under the
+        # first's margin the last cycles.
+        "scaled by 1000": ([grid, grid * 1e3, grid * 1e6, *seeded_drops(100, 24, 3, count=2)], 3),
+        # Identical points hold no improving swap, so they finish at the first
+        # iteration, while the others search on.
+        "staggered finish": ([np.zeros((24, 2)), grid * 1000.0, np.full((24, 2), 7.0),
+                              *seeded_drops(100, 24, 3, count=2)], 3),
+        "tp = K": (seeded_drops(50, 12, 12), 12),
+        "tp = 1": (seeded_drops(50, 12, 1), 1),
+    }[case]
+
+
+STACK_CASES = ["seeded (100, 40, 10)", "seeded (50, 12, 3)", "seeded (100, 60, 7)",
+               "seeded (100, 30, 2)", "lattice ties", "scaled by 1000", "staggered finish",
+               "tp = K", "tp = 1"]
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_stacked_search_equals_single_calls_bit_for_bit(case):
+    feats, tp = stack_case(case)
+    k = feats[0].shape[0]
+    scores = np.stack([pairwise_distance(f) for f in feats])
+    starts = np.stack([random_starts(k, tp, 10 * run) for run in range(len(feats))])
+    seeds = list(range(len(feats)))
+    with alarm(10):
+        out = _lockstep_search(scores, starts, tp)
+        stacked = repulsive_stack(feats, tp, seeds)
+    for run in range(len(feats)):
+        alone = _lockstep_search(scores[run:run + 1], starts[run:run + 1], tp)[0]
+        assert out[run].tolist() == alone.tolist()
+    assert [p.p.tolist() for p in stacked] == \
+        [repulsive_heuristic(f, tp, seed).p.tolist() for f, seed in zip(feats, seeds)]
+
+
 @pytest.mark.parametrize("k", [1, 5, 12])
 def test_subset_dissimilarity_matches_a_fresh_product_bit_for_bit(k):
     scores = pairwise_distance(np.random.default_rng(k).uniform(0, 1000, size=(k, 2)))
@@ -588,6 +641,15 @@ def test_repulsive_memory_grows_with_pairs_not_their_square(k, tp, bound):
     feats = generate_realization(cfg, 0).ue_positions
     repulsive_heuristic(feats, tp)
     assert traced_peak(lambda: repulsive_heuristic(feats, tp)) < bound
+
+
+def test_a_chunk_of_repulsive_searches_stays_within_the_bound_of_one():
+    # Eight realizations make one chunk at K = 61, but each is searched alone: a
+    # stack of all eight traced about 49 MB.
+    sim = SimConfig(num_aps=50, num_ues=61, num_pilots=60, realizations=8, seed=2022)
+    cfg = ExperimentConfig(sim=sim, strategies=("repulsive",), power_policy="full")
+    run_experiment(cfg)
+    assert traced_peak(lambda: run_experiment(cfg)) < 8_000_000
 
 
 def test_oracle_assignment_flag():

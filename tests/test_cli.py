@@ -103,6 +103,15 @@ def test_budget_guard_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
 
 
+def test_array_too_large_to_allocate_is_budget_error(tmp_path, capsys):
+    # The AP positions alone take 1.6e16 bytes, beyond any 2^47-byte user address
+    # space, so the allocation fails before a page is touched.
+    cfg = write_config(tmp_path, BASE.replace("num_aps = 6", f"num_aps = {10 ** 15}"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget error [memory]: ") and "Unable to allocate" in err
+
+
 def test_bad_percentile_is_config_error(tmp_path):
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "records.csv"

@@ -10,18 +10,12 @@ from hypothesis import strategies as st
 
 import cfpilot.harness as harness
 import cfpilot.power_control as power_control
-from cfpilot.assignment import assign
-from cfpilot.chanest import estimation_quality
-from cfpilot.config import ExperimentConfig, SimConfig
+from cfpilot.config import POLICY_NAMES, STRATEGY_NAMES, ExperimentConfig, SimConfig
 from cfpilot.errors import BudgetExceededError, ConfigError
-from cfpilot.harness import (CSV_HEADER, ThroughputRecord, config_from_values, load_config,
-                             parse_config_text, percentile, read_records, run_experiment,
-                             run_sweep, strategy_seed, throughput_by_strategy, write_records,
-                             write_sweep)
-from cfpilot.power_control import full_power, max_min_power
-from cfpilot.rate_model import rate_report
-from cfpilot.topology import generate_realization, pilot_snr, uplink_snr
-from reference import empirical_cdf, ks_distance
+from cfpilot.harness import (CSV_HEADER, config_from_values, load_config, parse_config_text,
+                             percentile, read_records, run_experiment, run_sweep,
+                             throughput_by_strategy, write_records, write_sweep)
+from reference import empirical_cdf, ks_distance, reference_records
 
 
 def test_percentile_examples():
@@ -153,29 +147,6 @@ def test_paired_design_same_topology_across_strategies():
     np.testing.assert_allclose(groups["random"], groups["oracle"], rtol=1e-6)
 
 
-def per_instance_records(cfg):
-    """``run_experiment`` as one max_min_power and rate_report call per (realization, strategy)."""
-    sim = cfg.sim
-    records = []
-    for index in range(sim.realizations):
-        realization = generate_realization(sim, index)
-        for strategy in cfg.strategies:
-            seed = strategy_seed(sim.seed, index, strategy)
-            pilot = assign(strategy, realization, sim, seed=seed)
-            gamma = estimation_quality(realization.beta, pilot, sim.num_pilots,
-                                       pilot_snr(sim)).gamma
-            if cfg.power_policy == "maxmin":
-                eta = max_min_power(realization.beta, gamma, pilot, uplink_snr(sim)).eta
-            else:
-                eta = full_power(sim.num_ues).eta
-            report = rate_report(realization.beta, gamma, pilot, eta, sim)
-            records.extend(ThroughputRecord(index, strategy, ue, float(report.sinr[ue]),
-                                            float(report.throughput[ue]))
-                           for ue in range(sim.num_ues))
-    records.sort(key=lambda r: (r.realization, r.strategy, r.ue))
-    return records
-
-
 def chunk_of(monkeypatch, cfg, realizations):
     """Make ``run_experiment`` take ``realizations`` realizations per lock-step chunk."""
     matrix_bytes = 8 * cfg.sim.num_ues ** 2 * len(cfg.strategies)
@@ -187,15 +158,16 @@ def chunk_of(monkeypatch, cfg, realizations):
 def test_lock_step_chunks_match_per_instance_evaluation(monkeypatch, policy, chunk):
     # Five realizations in chunks of 2 end with a chunk of one, after a boundary mid-run.
     sim = SimConfig(num_aps=30, num_ues=8, num_pilots=3, realizations=5, seed=17)
-    cfg = ExperimentConfig(sim=sim, strategies=("random", "greedy", "oracle"), power_policy=policy)
+    cfg = ExperimentConfig(sim=sim, strategies=("random", "greedy", "repulsive", "oracle"),
+                           power_policy=policy)
     chunk_of(monkeypatch, cfg, chunk)
-    assert run_experiment(cfg) == per_instance_records(cfg)
+    assert run_experiment(cfg) == reference_records(cfg)
 
 
 def test_default_chunk_matches_per_instance_evaluation_at_the_main_point():
     sim = SimConfig(num_aps=100, num_ues=40, num_pilots=10, realizations=7, seed=2022)
-    cfg = ExperimentConfig(sim=sim, strategies=("random", "greedy", "oracle"))
-    assert run_experiment(cfg) == per_instance_records(cfg)
+    cfg = ExperimentConfig(sim=sim, strategies=("random", "greedy", "repulsive", "oracle"))
+    assert run_experiment(cfg) == reference_records(cfg)
 
 
 def fail_assignment_at(monkeypatch, realization, strategy):
@@ -242,6 +214,61 @@ def test_first_failure_in_loop_order_decides_the_error(monkeypatch, chunk, assig
     error, message = expected
     with pytest.raises(error, match=message):
         run_experiment(cfg)
+
+
+def fail_generation_at(monkeypatch, realization):
+    real = harness.generate_realization
+
+    def fake(sim, index):
+        if index == realization:
+            raise ConfigError("topology fails here")
+        return real(sim, index)
+    monkeypatch.setattr(harness, "generate_realization", fake)
+
+
+@pytest.mark.parametrize("power_at,expected", [
+    (4, (BudgetExceededError, "realization 1, repulsive: max-min fails here")),
+    (None, (ConfigError, "topology fails here")),
+])
+def test_a_topology_that_fails_to_draw_raises_after_the_drops_before_it(monkeypatch, power_at,
+                                                                        expected):
+    # One chunk of three: its topologies are drawn before any drop is built, and
+    # realizations 0 and 1 are searched as one repulsive stack.
+    cfg = tiny_experiment(sim=dict(realizations=3), strategies=("random", "repulsive", "oracle"))
+    chunk_of(monkeypatch, cfg, 3)
+    fail_generation_at(monkeypatch, 2)
+    if power_at is not None:
+        fail_power_at(monkeypatch, power_at)
+    error, message = expected
+    with pytest.raises(error, match=message):
+        run_experiment(cfg)
+
+
+@st.composite
+def small_experiments(draw):
+    """Small configs, one in four at an uplink power that rounds some throughputs to 0."""
+    sim = SimConfig(num_aps=draw(st.integers(1, 12)), num_ues=draw(st.integers(1, 8)),
+                    num_pilots=draw(st.integers(1, 4)), realizations=draw(st.integers(1, 5)),
+                    seed=draw(st.integers(0, 2 ** 16)),
+                    uplink_tx_power=draw(st.sampled_from([0.1, 0.1, 0.1, 1e-16])))
+    strategies = draw(st.lists(st.sampled_from(STRATEGY_NAMES), min_size=1, unique=True))
+    return ExperimentConfig(sim=sim, strategies=tuple(strategies),
+                            power_policy=draw(st.sampled_from(POLICY_NAMES)))
+
+
+@given(cfg=small_experiments(), chunk=st.integers(1, 3))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_run_experiment_matches_the_reference_pipeline(cfg, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        chunk_of(patch, cfg, chunk)
+        try:
+            expected = reference_records(cfg)
+        except (ConfigError, BudgetExceededError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                run_experiment(cfg)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        else:
+            assert run_experiment(cfg) == expected
 
 
 def test_pilots_filling_the_coherence_block_fail_before_the_first_drop(monkeypatch):
