@@ -37,6 +37,8 @@ SWAP_TOLERANCE = 1e-12
 # Independent local-search starts for the repulsive heuristic; single starts
 # land in sub-optimal 1-swap local optima on roughly a third of instances.
 RESTARTS = 8
+# Bytes of swap gains per iteration of a lock-step stack of repulsive searches.
+_STACK_BYTES = 1 << 18
 # Guards for the exact searches.
 OPTIMAL_REPULSIVE_MAX_UES = 12
 EXHAUSTIVE_BUDGET = 2_000_000
@@ -241,30 +243,30 @@ def _check_fillable(num_ues, num_pilots):
                           "the repulsive strategies need num_ues >= num_pilots")
 
 
-def repulsive_stack_bytes(num_ues, num_pilots):
-    """Bytes of one realization's swap gains in an iteration of :func:`repulsive_stack`."""
-    pairs = num_pilots * (num_pilots - 1) // 2
-    return 8 * RESTARTS * max(pairs, 1) * (-(-num_ues // num_pilots)) ** 2
-
-
 def repulsive_stack(features, num_pilots, seeds) -> list[PilotAssignment]:
-    """:func:`repulsive_heuristic` of each realization, its starts all searched as one stack.
+    """:func:`repulsive_heuristic` of each realization, their starts searched as lock-step stacks.
 
     ``features`` and ``seeds`` hold one entry per realization, each with the
-    same number of UEs. A realization draws its starts from its own seed and
-    keeps its first-best start, so its result is that of its call alone, bit
-    for bit. The stack's memory grows with the number of realizations times
-    :func:`repulsive_stack_bytes`.
+    same number of UEs. A stack holds at most
+    max(1, ``_STACK_BYTES`` // (8 * ``RESTARTS`` * pairs * slots^2))
+    realizations, the bytes of their swap gains per iteration, so a call's
+    memory stays that of one stack however many realizations it is given. A
+    realization draws its starts from its own seed and keeps its first-best
+    start, so its result is that of its call alone, bit for bit.
     """
     scores = np.stack([pairwise_distance(f) for f in features])
     k = scores.shape[1]
     _check_fillable(k, num_pilots)
+    pairs = num_pilots * (num_pilots - 1) // 2
+    per_stack = max(1, _STACK_BYTES // (8 * RESTARTS * max(pairs, 1) * (-(-k // num_pilots)) ** 2))
     starts = np.empty((len(seeds), RESTARTS, k), dtype=int)
     for run, seed in zip(starts, seeds):
         rng = default_rng(seed)
         for labels in run:
             labels[rng.permutation(k)] = np.arange(k) % num_pilots
-    finals = _lockstep_search(scores, starts, num_pilots)
+    finals = np.concatenate([_lockstep_search(scores[first:first + per_stack],
+                                              starts[first:first + per_stack], num_pilots)
+                             for first in range(0, len(seeds), per_stack)])
     return [PilotAssignment(run[np.argmax(cluster_objective(s, run))])
             for s, run in zip(scores, finals)]
 

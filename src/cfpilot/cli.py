@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import BudgetExceededError, ConfigError
@@ -67,9 +68,10 @@ def _config_and_output(args):
 
 
 def _fraction(percent):
+    """``percent`` / 100 as an exact fraction, so the nearest rank has no rounding error."""
     if not 0 < percent <= 100:
         raise ConfigError("--percentile must lie in (0, 100]")
-    return percent / 100.0
+    return Fraction(str(percent)) / 100
 
 
 def _cmd_run(args):

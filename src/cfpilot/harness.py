@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import assign, repulsive_stack, repulsive_stack_bytes
+from .assignment import assign, repulsive_stack
 from .chanest import estimation_quality
 from .config import ExperimentConfig, SimConfig
 from .errors import BudgetExceededError, ConfigError
@@ -51,8 +51,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
     drawn first, then per realization the assignments and SINR terms are
     built once, in order; then the chunk's max-min problems are solved in
     lock-step, and SINR and throughput are computed from the same terms. At
-    the chunk's first ``repulsive`` drop, the local searches of all its
-    realizations run as lock-step stacks (:func:`_repulsive_pilots`). Each
+    the chunk's first ``repulsive`` drop, one :func:`repulsive_stack` call
+    searches all its realizations, in stacks it caps itself. Each
     output and error is that of evaluating every (realization, strategy)
     alone, in loop order: a topology that fails to draw raises after the
     drops of the realizations before it.
@@ -88,7 +88,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
                 for strategy in cfg.strategies:
                     if strategy == "repulsive":
                         if repulsive is None:
-                            repulsive = _repulsive_pilots(sim, realizations, start)
+                            repulsive = repulsive_stack(
+                                [r.ue_positions for r in realizations], sim.num_pilots,
+                                [strategy_seed(sim.seed, i, strategy)
+                                 for i in range(start, start + len(realizations))])
                         pilot = repulsive[index - start]
                     else:
                         pilot = assign(strategy, realization, sim,
@@ -103,23 +106,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ThroughputRecord]:
         records.extend(_evaluate(cfg, drops))
     records.sort()  # (realization, strategy, ue) is unique, so no later field is compared
     return records
-
-
-def _repulsive_pilots(sim, realizations, start):
-    """The ``repulsive`` assignment of each of a chunk's realizations; ``start`` indexes the first.
-
-    The searches run in stacks of ``_CHUNK_BYTES`` of swap gains per
-    iteration, but of at least one realization, so a stack's memory stays
-    that of a chunk.
-    """
-    per_stack = max(1, _CHUNK_BYTES // repulsive_stack_bytes(sim.num_ues, sim.num_pilots))
-    pilots = []
-    for first in range(0, len(realizations), per_stack):
-        stack = realizations[first:first + per_stack]
-        seeds = [strategy_seed(sim.seed, index, "repulsive")
-                 for index in range(start + first, start + first + len(stack))]
-        pilots.extend(repulsive_stack([r.ue_positions for r in stack], sim.num_pilots, seeds))
-    return pilots
 
 
 def _build_drop(cfg, realization, index, strategy, pilot, rho_p, rho_u):
@@ -186,7 +172,7 @@ def _evaluate(cfg, drops) -> list[ThroughputRecord]:
 
 
 def percentile(values, q):
-    """Nearest-rank percentile: the ceil(q*N)-th smallest sample, no interpolation."""
+    """Nearest-rank percentile: the ceil(q*N)-th smallest sample; a ``Fraction`` q ranks exactly."""
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("percentile of an empty sequence")

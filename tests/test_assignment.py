@@ -652,6 +652,15 @@ def test_a_chunk_of_repulsive_searches_stays_within_the_bound_of_one():
     assert traced_peak(lambda: run_experiment(cfg)) < 8_000_000
 
 
+def test_a_direct_stack_call_stays_within_the_bound_of_one():
+    # Eight realizations in one call are searched one stack at a time: a stack of
+    # all eight traced about 49 MB.
+    cfg = SimConfig(num_aps=50, num_ues=61, num_pilots=60, seed=2022)
+    feats = [generate_realization(cfg, i).ue_positions for i in range(8)]
+    repulsive_stack(feats, 60, range(8))
+    assert traced_peak(lambda: repulsive_stack(feats, 60, range(8))) < 8_000_000
+
+
 def test_oracle_assignment_flag():
     p = oracle_assignment(5)
     assert p.oracle

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cfpilot.cli import _build_parser, main
-from cfpilot.harness import CSV_HEADER, KEY_PARSERS, read_records
+from cfpilot.harness import CSV_HEADER, KEY_PARSERS, ThroughputRecord, read_records, write_records
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -117,6 +117,29 @@ def test_bad_percentile_is_config_error(tmp_path):
     out = tmp_path / "records.csv"
     main(["run", "--config", cfg, "--out", str(out)])
     assert main(["stats", "--in", str(out), "--percentile", "150"]) == 2
+
+
+def test_stats_takes_the_exact_nearest_rank(tmp_path, capsys):
+    # In floating point 0.07 * 100 is 7.000000000000001, whose ceiling is rank 8.
+    records = tmp_path / "records.csv"
+    write_records([ThroughputRecord(0, "random", ue, 1.0, ue + 1.0) for ue in range(100)],
+                  records)
+    assert main(["stats", "--in", str(records), "--percentile", "7"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "random,100,7,7"
+
+
+def test_sweep_takes_the_exact_nearest_rank(tmp_path):
+    # 4 UEs in 25 realizations: 100 samples per strategy, whose 7th smallest is rank 7.
+    # At full power the UEs of a realization do not share one max-min rate.
+    text = BASE.replace("realizations = 2", "realizations = 25").replace("maxmin", "full")
+    cfg = write_config(tmp_path, text)
+    records, out = tmp_path / "records.csv", tmp_path / "sweep.csv"
+    assert main(["run", "--config", cfg, "--out", str(records)]) == 0
+    assert main(["sweep", "--config", cfg, "--var", "num_aps", "--values", "6",
+                 "--percentile", "7", "--out", str(out)]) == 0
+    samples = sorted(r.throughput_bps for r in read_records(records) if r.strategy == "random")
+    assert len(samples) == 100 and f"{samples[6]:.9g}" != f"{samples[7]:.9g}"
+    assert f"num_aps,6,random,100,7,{samples[6]:.9g}" in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

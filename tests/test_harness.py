@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfpilot.assignment as assignment
 import cfpilot.harness as harness
 import cfpilot.power_control as power_control
 from cfpilot.config import POLICY_NAMES, STRATEGY_NAMES, ExperimentConfig, SimConfig
@@ -15,6 +16,7 @@ from cfpilot.errors import BudgetExceededError, ConfigError
 from cfpilot.harness import (CSV_HEADER, config_from_values, load_config, parse_config_text,
                              percentile, read_records, run_experiment, run_sweep,
                              throughput_by_strategy, write_records, write_sweep)
+from cfpilot.topology import strategy_seed
 from reference import empirical_cdf, ks_distance, reference_records
 
 
@@ -162,6 +164,26 @@ def test_lock_step_chunks_match_per_instance_evaluation(monkeypatch, policy, chu
                            power_policy=policy)
     chunk_of(monkeypatch, cfg, chunk)
     assert run_experiment(cfg) == reference_records(cfg)
+
+
+def test_a_chunk_split_over_several_stacks_matches_per_instance_evaluation(monkeypatch):
+    # At (K, tau_p) = (8, 3) a realization's swap gains take 8 * RESTARTS * 3 * 3^2
+    # bytes, so twice that makes the one chunk of five stacks of 2, 2 and 1.
+    sim = SimConfig(num_aps=30, num_ues=8, num_pilots=3, realizations=5, seed=17)
+    cfg = ExperimentConfig(sim=sim, strategies=("random", "greedy", "repulsive", "oracle"))
+    monkeypatch.setattr(assignment, "_STACK_BYTES", 2 * 8 * assignment.RESTARTS * 3 * 3 ** 2)
+    stacks, search = [], assignment._lockstep_search
+
+    def recorded(scores, starts, num_pilots):
+        stacks.append(len(scores))
+        return search(scores, starts, num_pilots)
+    monkeypatch.setattr(assignment, "_lockstep_search", recorded)
+    assert run_experiment(cfg) == reference_records(cfg)
+    assert stacks == [2, 2, 1]
+    feats = [harness.generate_realization(sim, i).ue_positions for i in range(5)]
+    seeds = [strategy_seed(sim.seed, i, "repulsive") for i in range(5)]
+    assert [p.p.tolist() for p in assignment.repulsive_stack(feats, 3, seeds)] == \
+        [assignment.repulsive_heuristic(f, 3, seed).p.tolist() for f, seed in zip(feats, seeds)]
 
 
 def test_default_chunk_matches_per_instance_evaluation_at_the_main_point():
